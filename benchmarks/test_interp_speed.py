@@ -20,16 +20,15 @@ memory, O(dirty) captures, generation-cached state keys):
 Results land in ``benchmarks/output/bench_interp.json``.  Like the
 sibling snapshot benchmark this avoids pytest-benchmark so CI can run
 it directly; ``BENCH_INTERP_BUGS=<n>`` restricts to the first *n* bugs
-(CI uses 3).  The >= 5x floor over the pre-fast-path baseline is
+(CI uses 3; subset runs write ``bench_interp.subset.json``).  The >= 5x floor over the pre-fast-path baseline is
 asserted only on the full corpus.
 """
 
-import json
 import os
 import pickle
 import time
 
-from conftest import OUTPUT_DIR, emit
+from conftest import emit, emit_json
 
 from repro.analysis.tables import Table
 from repro.corpus import registry
@@ -148,7 +147,6 @@ def _measure_replay(bugs):
         assert resumed.run.signature_hash() == fresh.signature_hash(), \
             bug.bug_id
         assert str(resumed.run.failure) == str(fresh.failure), bug.bug_id
-        engine.close()
     return {
         "replays_per_pass": REPLAY_REPS * len(work),
         "passes": TIMED_PASSES,
@@ -176,7 +174,7 @@ def test_interp_speed():
                   replay["schedules_per_sec"])
     table.add_row("baseline schedules/sec", BASELINE_SCHEDULES_PER_SEC)
     table.add_row("speedup", f"{speedup:.2f}x")
-    emit("bench_interp", table.render())
+    emit("bench_interp", table.render(), subset=subset)
 
     payload = {
         "bugs": len(bugs),
@@ -188,10 +186,7 @@ def test_interp_speed():
         "snapshots": snaps,
         "replay": replay,
     }
-    os.makedirs(OUTPUT_DIR, exist_ok=True)
-    with open(os.path.join(OUTPUT_DIR, "bench_interp.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    emit_json("bench_interp", payload, subset=bool(subset))
 
     # The acceptance floor holds on the full corpus only; subsets (CI)
     # still exercise every code path and the bit-identity asserts.

@@ -11,16 +11,16 @@ plus a rendered table.
 
 Avoids the pytest-benchmark fixture so CI (pytest + hypothesis only)
 can run it directly.  Set ``BENCH_POLICY_BUGS=<n>`` to restrict to the
-first *n* corpus bugs (CI uses 3); the >= 15% corpus-wide schedule
+first *n* corpus bugs (CI uses 3; subset runs write
+``bench_policy.subset.json``); the >= 15% corpus-wide schedule
 reduction floor is asserted only on the full corpus, bit-identity and
 the pruning-fires check always.
 """
 
-import json
 import os
 import time
 
-from conftest import OUTPUT_DIR, emit
+from conftest import emit, emit_json
 
 from repro import api
 from repro.analysis.tables import Table
@@ -112,7 +112,8 @@ def test_policy_ablation():
                   sum(r["warm"]["experience_hits"] for r in rows))
     emit("bench_policy", table.render()
          + f"\n\nwarm/static schedule ratio: {warm_ratio:.3f} "
-         f"({(1 - warm_ratio) * 100:.1f}% reduction)")
+         f"({(1 - warm_ratio) * 100:.1f}% reduction)",
+         subset=bool(subset))
 
     payload = {
         "bugs": len(rows),
@@ -129,10 +130,7 @@ def test_policy_ablation():
         },
         "per_bug": rows,
     }
-    os.makedirs(OUTPUT_DIR, exist_ok=True)
-    with open(os.path.join(OUTPUT_DIR, "bench_policy.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    emit_json("bench_policy", payload, subset=bool(subset))
 
     # Invariant pruning must actually fire somewhere, even on the CI
     # subset — otherwise the ablation is vacuous.

@@ -10,15 +10,15 @@ executed (``interpreted_steps``).  Results land in
 Unlike the sibling benchmarks this one deliberately avoids the
 pytest-benchmark fixture so CI (which installs only pytest + hypothesis)
 can run it directly.  Set ``BENCH_SNAPSHOT_BUGS=<n>`` to restrict to the
-first *n* corpus bugs (CI uses 3); the >= 2x speedup floor is asserted
+first *n* corpus bugs (CI uses 3; subset runs write
+``bench_snapshot.subset.json``); the >= 2x speedup floor is asserted
 only on the full corpus, the never-slower invariant always.
 """
 
-import json
 import os
 import time
 
-from conftest import OUTPUT_DIR, emit
+from conftest import emit, emit_json
 
 from repro.analysis.tables import Table
 from repro.core.causality import CaConfig
@@ -76,7 +76,7 @@ def test_snapshot_speedup():
     table.add_row("TOTAL", schedules, total_on, total_off,
                   f"{ratio:.2f}x",
                   sum(r["on"]["splices"] for r in rows))
-    emit("bench_snapshot", table.render())
+    emit("bench_snapshot", table.render(), subset=bool(subset))
 
     payload = {
         "bugs": len(rows),
@@ -93,10 +93,7 @@ def test_snapshot_speedup():
         },
         "per_bug": rows,
     }
-    os.makedirs(OUTPUT_DIR, exist_ok=True)
-    with open(os.path.join(OUTPUT_DIR, "bench_snapshot.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    emit_json("bench_snapshot", payload, subset=bool(subset))
 
     # The engine must never interpret *more* than a fresh-boot run...
     assert total_on <= total_off

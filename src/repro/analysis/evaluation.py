@@ -118,8 +118,6 @@ def summarize_diagnosis(bug: "Bug", diagnosis) -> BugEvaluation:
 
 def _evaluate_one(bug: "Bug", pipeline: bool = False,
                   snapshots: bool = True,
-                  wave_jobs: int = 1,
-                  executor: str = "fleet",
                   policy: str = "static",
                   experience=None,
                   tracer=None) -> BugEvaluation:
@@ -136,12 +134,8 @@ def _evaluate_one(bug: "Bug", pipeline: bool = False,
         report = run_bug_finder(bug)
     diagnosis = Aitia(bug, report=report,
                       lifs_config=LifsConfig(use_snapshots=snapshots,
-                                             wave_jobs=wave_jobs,
-                                             executor=executor,
                                              policy=policy),
                       ca_config=CaConfig(use_snapshots=snapshots,
-                                         wave_jobs=wave_jobs,
-                                         executor=executor,
                                          policy=policy),
                       experience=experience,
                       tracer=tracer).diagnose()
@@ -157,8 +151,6 @@ def _evaluate_worker(payload: dict) -> dict:
     bug = registry.get_bug(payload["bug_id"])
     return asdict(_evaluate_one(bug, pipeline=payload["pipeline"],
                                 snapshots=payload.get("snapshots", True),
-                                wave_jobs=payload.get("wave_jobs", 1),
-                                executor=payload.get("executor", "fleet"),
                                 policy=payload.get("policy", "static")))
 
 
@@ -167,8 +159,6 @@ def evaluate_corpus(bugs: Optional[Sequence["Bug"]] = None,
                     jobs: int = 1,
                     timeout_s: float = 600.0,
                     snapshots: bool = True,
-                    wave_jobs: int = 1,
-                    executor: str = "fleet",
                     policy: str = "static",
                     tracer=None) -> CorpusEvaluation:
     """Evaluate a bug set (default: the paper's 22 evaluated bugs).
@@ -184,14 +174,12 @@ def evaluate_corpus(bugs: Optional[Sequence["Bug"]] = None,
     the dispatch span and per-job points instead.
 
     ``snapshots=False`` disables the prefix-checkpoint engine (the
-    ``--no-snapshot`` ablation); ``wave_jobs > 1`` fans each diagnosis's
-    schedule waves out to child processes (``--parallel-waves``, inert
-    inside ``jobs > 1`` workers, which are daemonic and cannot fork).
-    ``policy="adaptive"`` routes both search stages through the adaptive
-    search policy (``--policy``); the sequential path shares one
-    experience index across the whole set, so each diagnosis learns
-    from its predecessors, while parallel workers rank with empty
-    priors.  Rows are bit-identical whatever the settings.
+    ``--no-snapshot`` ablation).  ``policy="adaptive"`` routes both
+    search stages through the adaptive search policy (``--policy``);
+    the sequential path shares one experience index across the whole
+    set, so each diagnosis learns from its predecessors, while parallel
+    workers rank with empty priors.  Rows are bit-identical whatever
+    the settings.
     """
     from repro.observe.tracer import as_tracer
 
@@ -208,9 +196,7 @@ def evaluate_corpus(bugs: Optional[Sequence["Bug"]] = None,
                          bugs=len(bugs), jobs=1):
             return CorpusEvaluation(
                 rows=[_evaluate_one(bug, pipeline=pipeline,
-                                    snapshots=snapshots,
-                                    wave_jobs=wave_jobs,
-                                    executor=executor, policy=policy,
+                                    snapshots=snapshots, policy=policy,
                                     experience=experience, tracer=tracer)
                       for bug in bugs])
 
@@ -220,8 +206,7 @@ def evaluate_corpus(bugs: Optional[Sequence["Bug"]] = None,
     triage_jobs = [
         TriageJob(job_id=bug.bug_id,
                   payload={"bug_id": bug.bug_id, "pipeline": pipeline,
-                           "snapshots": snapshots, "wave_jobs": wave_jobs,
-                           "executor": executor, "policy": policy},
+                           "snapshots": snapshots, "policy": policy},
                   timeout_s=timeout_s)
         for bug in bugs
     ]
@@ -247,8 +232,6 @@ def evaluate_corpus(bugs: Optional[Sequence["Bug"]] = None,
                 fallbacks += 1
                 rows.append(_evaluate_one(bug, pipeline=pipeline,
                                           snapshots=snapshots,
-                                          wave_jobs=wave_jobs,
-                                          executor=executor,
                                           policy=policy))
         span.set(fallbacks=fallbacks)
     return CorpusEvaluation(rows=rows)

@@ -173,18 +173,6 @@ class CaConfig:
     use_snapshots: bool = True
     #: Cap on memoized flip continuations (suffix splicing).
     max_continuations: int = 65536
-    #: Parallel wave width (``--parallel-waves``): with N > 1 each phase's
-    #: independent flip tests are batched and executed across N child
-    #: processes.  Flip constraints depend only on the failure run's
-    #: static structure — never on other flips' results — so each phase
-    #: can be planned upfront and its results processed in submission
-    #: order, keeping the diagnosis bit-identical to ``wave_jobs=1``.
-    wave_jobs: int = 1
-    #: Which parallel dispatch backend serves waves (``--executor``):
-    #: ``"fleet"`` (the persistent fork-server fleet, the default) or
-    #: ``"inline"`` (never fork; waves run in-process).  Irrelevant at
-    #: ``wave_jobs=1``.  Diagnoses are bit-identical either way.
-    executor: str = "fleet"
     #: Which :mod:`repro.policy` search policy shapes the flip batches
     #: (``--policy``): ``"static"`` (submission order, no pruning, the
     #: default) or ``"adaptive"`` (experience-ranked ordering plus
@@ -215,12 +203,12 @@ class CausalityAnalysis:
         self.target = target or FailureMatcher(
             kind=failure.kind, location=failure.instr_label)
         self.config = config or CaConfig()
-        # All execution placement (snapshot resume/splice, parallel waves,
-        # coverage pinning) lives in the engine.  CA needs a booted image
-        # up front anyway, so the engine primes eagerly: the boot machine
-        # doubles as the snapshot vehicle, and a kcov-instrumented boot
-        # pins every flip inline (resuming would skip the setup's coverage
-        # callbacks; a child's callbacks would fire in the wrong process).
+        # All execution placement (snapshot resume/splice, coverage
+        # pinning) lives in the engine.  CA needs a booted image up front
+        # anyway, so the engine primes eagerly: the boot machine doubles
+        # as the snapshot vehicle, and a kcov-instrumented boot pins every
+        # flip to fresh boots (resuming would skip the setup's coverage
+        # callbacks).
         self.engine = ScheduleExecutionEngine(
             machine_factory, EnginePolicy.for_ca(self.config),
             tracer=self.tracer, experience=experience)
@@ -432,18 +420,15 @@ class CausalityAnalysis:
         what the search policy orders and prunes on.  The batch is
         shaped by the engine's policy first — the static default keeps
         the submission order and prunes nothing — then executed as one
-        :class:`RunPlan`: sequentially (snapshot-resumed on the vehicle,
-        or fresh boots when the policy says so) or fanned out as one
-        parallel wave.  Flip constraints depend only on the failure
-        run's static structure, never on other flips' results, so any
-        placement *and any execution order* yields the same runs;
+        :class:`RunPlan` (snapshot-resumed on the vehicle, or fresh boots
+        when the policy says so).  Flip constraints depend only on the
+        failure run's static structure, never on other flips' results,
+        so any placement *and any execution order* yields the same runs;
         outcomes are mapped back to submission positions through each
         request's candidate meta.  A pruned candidate comes back as
         ``None`` — the caller classifies it without a run.  CA replays
         each executed outcome's ``ca.flip`` span and its own stats at
-        merge time; suffix splicing happens only in sequential placement
-        (wave children execute independently), which changes accounting,
-        never bits.
+        merge time; suffix splicing changes accounting, never bits.
         """
         flip_units: List[Optional[RaceUnit]] = (
             list(units) if units is not None else [None] * len(requests))
@@ -507,10 +492,6 @@ class CausalityAnalysis:
             self.stats.elapsed_seconds = time.perf_counter() - started
             result.stats = self.stats
             self._trace_outcome(span, result)
-            # Retire the engine's resident fleet workers (if any) —
-            # each analysis owns its engine, and batch callers must not
-            # accumulate forked workers across diagnoses.
-            self.engine.close()
         return result
 
     def _absorb_engine_stats(self) -> None:
@@ -557,8 +538,7 @@ class CausalityAnalysis:
         # never from other flips' results, so each phase is *planned* in
         # full (fixing step numbers, deferrals and flip sets exactly as the
         # flip-at-a-time loop would), *executed* as one batch of
-        # independent tests — a wave, when a parallel executor is
-        # configured — and *processed* in submission order.
+        # independent tests and *processed* in submission order.
 
         # Identification, backward from the failure.
         pending = deque(sorted(self.units, key=lambda u: u.last_seq,

@@ -89,8 +89,7 @@ class Schedule:
         points and constraint order — everything that affects execution,
         nothing that doesn't (notes and display labels are excluded).
         Two schedules with equal keys enforce the same interleaving, so
-        this is what dedup maps (the LIFS tried-set, the engine's
-        speculation memo) key on."""
+        this is what dedup maps (the LIFS tried-set) key on."""
         return (
             tuple(self.start_order),
             tuple((p.thread, p.instr_addr, p.occurrence, p.switch_to)

@@ -41,7 +41,6 @@ class DaemonConfig:
     #: in ``queue/`` and ``store/`` under it.
     data_dir: str = "daemon-data"
     jobs: int = 1              #: worker processes for the drain pool
-    wave_jobs: int = 1         #: per-diagnosis parallel wave width
     #: Search policy per diagnosis (``"static"`` / ``"adaptive"``); with
     #: ``"adaptive"`` the daemon boots its experience index from the
     #: cold store and ships a snapshot in every job payload.

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from repro.observe.export import render_exposition
 from repro.observe.tracer import Tracer
@@ -102,6 +102,10 @@ class TriageDaemon:
         #: digest -> job_id for dedup (kept after completion: a done
         #: job's digest answers from the store, or reports its outcome).
         self._by_digest: Dict[str, str] = {}
+        #: Jobs :meth:`_finish` has settled (result stored, journal
+        #: marked).  The executor makes a job terminal a beat earlier,
+        #: so clients see a job as finished only once it is in here.
+        self._settled: Set[str] = set()
         self._accepted_at: Dict[str, float] = {}
         self._running = 0
         self.paused = config.paused
@@ -229,6 +233,10 @@ class TriageDaemon:
                 400, {"error": f"malformed artifact: {exc}"}, keep_alive)
         digest = signature.digest
 
+        # Settled flag before the store, as in _result: a job settled
+        # after this read is still answered as an in-flight duplicate.
+        job_id = self._by_digest.get(digest)
+        pending = job_id is not None and job_id not in self._settled
         record, tier = self.store.lookup(digest)
         if record is not None:
             self.metrics.incr("cache_hits")
@@ -240,10 +248,9 @@ class TriageDaemon:
                 "status": "cache_hit", "digest": digest, "tier": tier,
                 "result": record}, keep_alive)
 
-        job_id = self._by_digest.get(digest)
         if job_id is not None:
             job = self._jobs[job_id]
-            if not job.done:
+            if pending:
                 job.duplicates.append(tenant)
                 self.metrics.incr("deduped")
                 self.metrics.observe_latency(
@@ -265,7 +272,6 @@ class TriageDaemon:
             payload={"mode": "artifact", "artifact": artifact.render(),
                      "bug_id": artifact.bug_id, "digest": digest,
                      "tenant": tenant,
-                     "wave_jobs": self.config.wave_jobs,
                      "policy": self.config.policy})
         if self.config.policy != "static" and self.experience:
             job.payload["experience"] = self.experience.snapshot()
@@ -294,8 +300,12 @@ class TriageDaemon:
         if job is None:
             return protocol.json_response(
                 404, {"error": f"no job {job_id!r}"}, keep_alive)
+        settled = job_id in self._settled
+        status = job.outcome
+        if job.done and not settled:
+            status = JobOutcome.RUNNING
         payload = {
-            "job_id": job.job_id, "status": job.outcome.value,
+            "job_id": job.job_id, "status": status.value,
             "digest": job.payload.get("digest", ""),
             "bug_id": job.payload.get("bug_id", ""),
             "tenant": job.payload.get("tenant", DEFAULT_TENANT),
@@ -303,18 +313,21 @@ class TriageDaemon:
             "attempts": job.attempts, "seconds": job.seconds,
             "error": job.error,
         }
-        if job.outcome is JobOutcome.SUCCEEDED and job.result is not None:
+        if settled and job.outcome is JobOutcome.SUCCEEDED:
             payload["result"] = job.result
         return protocol.json_response(200, payload, keep_alive)
 
     def _result(self, digest: str, keep_alive: bool) -> bytes:
+        # Read the settled flag before the store: _finish stores first
+        # and settles last, so a settled job's record is always found.
+        job_id = self._by_digest.get(digest)
+        pending = job_id is not None and job_id not in self._settled
         record, tier = self.store.lookup(digest)
         if record is not None:
             return protocol.json_response(200, {
                 "digest": digest, "tier": tier, "result": record},
                 keep_alive)
-        job_id = self._by_digest.get(digest)
-        if job_id is not None and not self._jobs[job_id].done:
+        if pending:
             return protocol.json_response(202, {
                 "status": "pending", "job_id": job_id, "digest": digest},
                 keep_alive)
@@ -383,6 +396,7 @@ class TriageDaemon:
         self.queue.mark_done(job)
         self.tenants.note_done(job.payload.get("tenant", DEFAULT_TENANT))
         self._running -= 1
+        self._settled.add(job.job_id)
 
     # -- metrics --------------------------------------------------------
     def render_metrics(self) -> str:

@@ -17,18 +17,11 @@ spliced steps) differ.
   boot/prefix checkpoints (:class:`CheckpointPolicy` captures,
   :class:`ContinuationCache` suffix splicing).  docs/PERFORMANCE.md.
 
-Parallel placement is no longer a backend: plans stream through the
-executor layer (:mod:`repro.engine.executors` — the persistent
-fork-server fleet), with resume points and capture policies resolved
-*into* each request by the engine, so every placement executes exactly
-the run the snapshot/inline path would have produced.
-
-Neither is candidate *selection*: which requests of a plan execute, and
-in what order, is decided before any backend sees them, by the
-:mod:`repro.policy` search policy behind the engine's ``shape_plan``.
-Backends must treat ``RunRequest.meta`` (the policy's candidate
-bookkeeping) as opaque and never read it — the engine strips it when
-preparing requests for an executor.
+Candidate *selection* is not a backend concern: which requests of a
+plan execute, and in what order, is decided before any backend sees
+them, by the :mod:`repro.policy` search policy behind the engine's
+``shape_plan``.  Backends must treat ``RunRequest.meta`` (the policy's
+candidate bookkeeping) as opaque and never read it.
 
 Adding a backend means implementing ``run`` returning outcomes whose
 runs are bit-identical to :class:`InlineBackend`'s, and teaching the

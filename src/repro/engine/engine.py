@@ -2,44 +2,36 @@
 
 :class:`ScheduleExecutionEngine` owns everything between "algorithm
 wants runs" and "hypervisor interprets instructions": backend selection
-(inline / snapshot / fleet) under one :class:`EnginePolicy`, coverage
-pinning, speculative-wave dedup keyed by :meth:`Schedule.key`, the
-unified snapshot accounting, and the single place that publishes the
-``snapshot.*`` / ``ca.snapshot_*`` / ``engine.*`` counters.  Parallel
-plans stream through the persistent fork-server fleet behind
-:func:`repro.engine.executors.make_executor`.
+(inline / snapshot) under one :class:`EnginePolicy`, coverage pinning,
+the unified snapshot accounting, and the single place that publishes
+the ``snapshot.*`` / ``ca.snapshot_*`` / ``engine.*`` counters.  A
+diagnosis always executes in this one process; parallelism lives across
+diagnoses (:func:`repro.engine.executors.make_executor`).
 
-Algorithms (LIFS, Causality Analysis, the VM pool) stay pure: they emit
+Algorithms (LIFS, Causality Analysis) stay pure: they emit
 :class:`RunRequest`/:class:`RunPlan` values and consume
-:class:`RunOutcome`\\ s — no algorithm touches the fleet,
-``ContinuationCache`` or ``CheckpointPolicy`` directly.
+:class:`RunOutcome`\\ s — no algorithm touches ``ContinuationCache``
+or ``CheckpointPolicy`` directly.
 
 Invariants the engine maintains (and the equivalence tests assert):
 
 * **Bit identity** — for any request, every backend produces the same
   ``RunResult`` bits; policies change placement and accounting only.
 * **Coverage pinning** — the first boot of a machine with a kcov
-  callback permanently demotes snapshots *and* waves: coverage
-  callbacks must fire in this process, over every instruction.
-* **Opt-in dedup** — the dedup map only ever holds outcomes from an
-  explicit :meth:`speculate` call and is cleared on the next one;
-  a plain :meth:`run`/:meth:`run_plan` never silently reuses an earlier
-  result (Causality Analysis deliberately re-executes identical
-  schedules when rechecking chain edges).
+  callback permanently demotes snapshots: coverage callbacks must fire
+  over every instruction.
+* **No result reuse** — every :meth:`run`/:meth:`run_plan` request
+  executes; identical schedules execute again (Causality Analysis
+  deliberately re-executes them when rechecking chain edges).
 """
 
 from __future__ import annotations
 
-import os
+from typing import TYPE_CHECKING, List, Mapping, Optional
 
-from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
-
-from repro.hypervisor.waves import emit_run_counters
-from repro.observe.tracer import NULL_TRACER, as_tracer
+from repro.observe.tracer import as_tracer
 
 from repro.engine.backends import InlineBackend, SnapshotBackend
-from repro.engine.executors import make_executor
 from repro.engine.protocol import (EnginePolicy, EngineStats, RunOutcome,
                                    RunPlan, RunRequest)
 from repro.policy import make_policy
@@ -73,34 +65,6 @@ class ScheduleExecutionEngine:
                                          experience=experience)
         self.inline_backend = InlineBackend(self)
         self.snapshot_backend = SnapshotBackend(self)
-        #: The parallel executor (``None`` when the policy keeps
-        #: execution sequential).  Built through the one dispatch front
-        #: door; the fleet does not fork until demand crosses the
-        #: policy's spin-up threshold.  An explicit threshold of zero
-        #: means "always fleet": the first engage forks *and waits* for
-        #: worker readiness instead of degrading inline.  On a
-        #: single-core host forked workers cannot overlap with the
-        #: parent — dispatch serialization is pure overhead — so the
-        #: fleet only engages where parallelism can pay, unless the
-        #: zero threshold explicitly forces it (tests, benchmarks).
-        self.executor = None
-        fleet_can_pay = ((os.cpu_count() or 1) > 1
-                         or self.policy.fleet_spinup_requests <= 0)
-        if self.policy.wave_jobs > 1 and self.policy.executor == "fleet" \
-                and fleet_can_pay:
-            self.executor = make_executor(
-                machine_factory=machine_factory,
-                jobs=self.policy.wave_jobs, tracer=self.tracer,
-                timeout_s=self.policy.wave_timeout_s,
-                max_respawns=self.policy.wave_max_retries,
-                spinup_requests=self.policy.fleet_spinup_requests,
-                max_continuations=self.policy.max_continuations,
-                eager=self.policy.fleet_spinup_requests <= 0)
-        #: ``None`` until the first boot reveals whether the factory's
-        #: machines carry a coverage callback.
-        self._coverage: Optional[bool] = None
-        #: Speculation dedup map: ``Schedule.key() -> RunOutcome``.
-        self._memo: Dict[Tuple, RunOutcome] = {}
 
     # -- machine knowledge ---------------------------------------------
     @property
@@ -112,12 +76,9 @@ class ScheduleExecutionEngine:
     def note_coverage(self, machine: "KernelMachine") -> None:
         """Record what a boot revealed about the machine factory.
 
-        A coverage callback means every instruction must be interpreted
-        in this process: snapshots (prefix skipping) and waves (child
-        processes) are both permanently pinned off.
+        A coverage callback means every instruction must be interpreted:
+        snapshots (prefix skipping) are permanently pinned off.
         """
-        if self._coverage is None:
-            self._coverage = machine.coverage_cb is not None
         if machine.coverage_cb is not None:
             self.snapshot_backend.active = False
 
@@ -135,104 +96,24 @@ class ScheduleExecutionEngine:
             snapshot.active = False
         return machine
 
-    def wave_ready(self, probe: bool = False) -> bool:
-        """Whether a plan would genuinely fan out to child processes.
-
-        With ``probe=True`` an unknown coverage status is resolved by
-        booting one machine; without it, unknown is treated as safe —
-        the first sequential run always boots (and checks) before any
-        wave is launched.
-        """
-        if self.executor is None or not self.executor.parallel:
-            return False
-        if self._coverage is None and probe:
-            self.note_coverage(self.machine_factory())
-        return not self._coverage
-
     # -- execution ------------------------------------------------------
     def run(self, request: RunRequest) -> RunOutcome:
-        """Execute one request (or answer it from the speculation memo)."""
-        if self._memo:
-            outcome = self._memo.pop(request.schedule.key(), None)
-            if outcome is not None:
-                outcome = replace(outcome, dedup_hit=True)
-                self.stats.dedup_hits += 1
-                if outcome.remote:
-                    # The run executed untraced (fleet worker or
-                    # untraced parent assist); re-emit its counters now
-                    # that it is consumed.
-                    emit_run_counters(self.tracer, outcome.run)
-                self._account(outcome)
-                return outcome
-        outcome = self._execute_local(request)
+        """Execute one request through the snapshot/inline machinery."""
+        if self.snapshot_backend.active:
+            outcome = self.snapshot_backend.run(request)
+        else:
+            outcome = self.inline_backend.run(request)
         self._account(outcome)
         return outcome
 
-    def _execute_local(self, request: RunRequest) -> RunOutcome:
-        """One traced in-parent execution through the snapshot/inline
-        machinery.  Accepts raw *and* prepared requests: the snapshot
-        backend resolves a missing resume point / capture policy and
-        leaves an already-resolved one as-is."""
-        if self.snapshot_backend.active:
-            return self.snapshot_backend.run(request)
-        return self.inline_backend.run(request)
-
-    def _execute_speculative(self, request: RunRequest) -> RunOutcome:
-        """A parent-assist run inside a speculative plan: executed with
-        tracing suppressed and marked ``remote`` — exactly like a fleet
-        worker's run, its counters are only emitted if it is consumed,
-        so over-eager speculation never perturbs trace totals."""
-        saved = self.tracer
-        self.tracer = NULL_TRACER
-        try:
-            outcome = self._execute_local(request)
-        finally:
-            self.tracer = saved
-        return replace(outcome, remote=True)
-
-    def _prepare(self, request: RunRequest) -> RunRequest:
-        """Resolve a request for an executor: pin its resume point and
-        capture policy so any placement executes exactly the run the
-        snapshot/inline path would have produced.  Candidate meta is
-        policy bookkeeping for the parent only — stripped here so it
-        never ships to a worker."""
-        snapshot = self.snapshot_backend
-        return replace(request,
-                       resume_from=snapshot.resolve_resume(request),
-                       checkpoint_policy=snapshot.checkpoint_policy(request),
-                       meta=None)
-
     def run_plan(self, plan: RunPlan) -> List[RunOutcome]:
-        """Execute a batch; outcomes come back in submission order.
-
-        The batch streams through the fleet executor when one is
-        available, engaged (spin-up threshold crossed) and the plan is
-        wide enough; otherwise it is exactly the sequential :meth:`run`
-        loop.  Fleet workers run untraced, so the parent re-emits each
-        remote run's ``hv.*`` counters at merge time — sequential
-        identities (``hv.runs == lifs.schedules + ca.schedules``) hold
-        either way.
-        """
+        """Execute a batch sequentially; outcomes come back in
+        submission order."""
         self.stats.plans += 1
-        use_fleet = (len(plan.requests) >= 2 and self.wave_ready()
-                     and self.executor.engage(len(plan.requests)))
-        backend = (self.executor.name if use_fleet
-                   else (self.snapshot_backend.name
+        self._trace_plan(plan, self.snapshot_backend.name
                          if self.snapshot_backend.active
-                         else self.inline_backend.name))
-        self._trace_plan(plan, backend)
-        if not use_fleet:
-            return [self.run(request) for request in plan.requests]
-        prepared = RunPlan([self._prepare(r) for r in plan.requests],
-                           phase=plan.phase)
-        outcomes: List[Optional[RunOutcome]] = [None] * len(plan.requests)
-        for index, outcome in self.executor.submit(
-                prepared, local_run=self._execute_local):
-            if outcome.remote:
-                emit_run_counters(self.tracer, outcome.run)
-            self._account(outcome)
-            outcomes[index] = outcome
-        return outcomes  # type: ignore[return-value]
+                         else self.inline_backend.name)
+        return [self.run(request) for request in plan.requests]
 
     def shape_plan(self, plan: RunPlan, context=None):
         """Route a candidate plan through the search policy.
@@ -250,51 +131,6 @@ class ScheduleExecutionEngine:
                               phase=plan.phase, pruned=len(pruned),
                               kept=len(shaped.requests))
         return shaped, pruned
-
-    def speculate(self, plan: RunPlan) -> None:
-        """Precompute a plan through the fleet and stash the outcomes in
-        the dedup map for later :meth:`run` calls to consume by schedule
-        key.
-
-        Any previous speculation is dropped first (uncounted — the
-        caller decides what "discarded" means via
-        :meth:`discard_speculation`).  Nothing is accounted or traced
-        here: speculative work only enters the stats (and the counter
-        totals) when it is consumed, so an over-eager speculation can
-        never perturb the diagnosis.  Until the fleet is engaged the
-        call is a no-op and requests simply run authoritatively.
-        """
-        self._memo = {}
-        if len(plan.requests) < 2 or not self.wave_ready():
-            return
-        if not self.executor.engage(len(plan.requests)):
-            return
-        self.stats.plans += 1
-        self._trace_plan(plan, self.executor.name)
-        prepared = RunPlan([self._prepare(r) for r in plan.requests],
-                           phase=plan.phase)
-        memo: Dict[Tuple, RunOutcome] = {}
-        for index, outcome in self.executor.submit(
-                prepared, local_run=self._execute_speculative):
-            memo[plan.requests[index].schedule.key()] = outcome
-        self._memo = memo
-
-    def discard_speculation(self) -> int:
-        """Drop unconsumed speculative outcomes (early exit), counting
-        them as ``hv.wave.discarded``; returns how many were dropped."""
-        dropped = len(self._memo)
-        if dropped:
-            self.tracer.count("hv.wave.discarded", dropped)
-            self._memo = {}
-        return dropped
-
-    def close(self) -> None:
-        """Retire the engine's resident fleet workers (no-op when the
-        fleet never spun up).  Algorithms call this when their search
-        ends; an unclosed engine's workers are daemonic and die with the
-        parent process regardless."""
-        if self.executor is not None:
-            self.executor.close()
 
     # -- accounting -----------------------------------------------------
     def _account(self, outcome: RunOutcome) -> None:
@@ -345,7 +181,6 @@ class ScheduleExecutionEngine:
             self.tracer.count(counter, getattr(self.stats, field_name))
         self.tracer.count("engine.requests", self.stats.requests)
         self.tracer.count("engine.plans", self.stats.plans)
-        self.tracer.count("engine.dedup_hits", self.stats.dedup_hits)
         for backend, count in sorted(self.stats.backend_requests.items()):
             self.tracer.count(f"engine.backend.{backend}", count)
         policy_stats = self.search_policy.stats

@@ -1,404 +1,32 @@
-"""The unified dispatch API: every process fan-out behind one door.
+"""The process-dispatch front door: diagnoses fanned out across processes.
 
-The codebase grew three overlapping process-dispatch APIs — the triage
-``WorkerPool`` (process per attempt), the ``WaveExecutor`` (process per
-wave chunk) and the daemon's drain loop on top of the pool.  This
-module collapses them behind one front door, :func:`make_executor`,
-built on the persistent fork-server fleet of :mod:`repro.engine.fleet`:
+Parallelism lives *across* diagnoses, never inside one: a diagnosis
+always runs in one process, and batches of diagnoses (a corpus
+evaluation, a triage drain, the daemon's queue) spread over worker
+processes.  :func:`make_executor` builds the placement for such a
+batch:
 
-* **Schedule executors** serve the engine's
-  :class:`~repro.engine.protocol.RunPlan`\\ s:
-  ``Executor.submit(plan) -> stream of (index, RunOutcome)`` in
-  completion order.  :class:`FleetExecutor` keeps resident workers that
-  boot once and receive only schedule suffixes plus checkpoint-store
-  keys (:class:`~repro.kernel.snapshot.CheckpointStore` — a
-  checkpoint's bytes cross each pipe at most once);
-  :class:`InlineExecutor` is the sequential placement of the same
-  contract.
-* **Job executors** serve triage/evaluation :class:`TriageJob`\\ s:
-  ``run(jobs, on_complete) -> jobs`` with per-job timeout, worker-death
-  retry with backoff, and streaming completion callbacks.
-  :class:`JobExecutor` runs them on a resident fleet (one fork per
-  worker lifetime, not per attempt);
-  :class:`~repro.service.pool.InProcessPool` remains the ``jobs=1``
-  placement.
+* :class:`JobExecutor` runs triage/evaluation
+  :class:`~repro.service.queue.TriageJob`\\ s on the persistent
+  fork-server fleet of :mod:`repro.engine.fleet` (one fork per worker
+  lifetime, not per attempt): ``run(jobs, on_complete) -> jobs`` with
+  per-job timeout, worker-death retry with backoff, and streaming
+  completion callbacks;
+* :class:`~repro.service.pool.InProcessPool` is the ``jobs=1``
+  placement of the same contract.
 
-Both keep the bit-identity contract: where a schedule executes never
-changes the run's bits, only the placement facts on the outcome.
-
-Migration from the deprecated constructors::
-
-    # before                                   # after
-    WaveExecutor(jobs=4, machine_factory=f)    make_executor(machine_factory=f, jobs=4)
-    WorkerPool(worker, jobs=4, retry=r)        make_executor(worker=worker, jobs=4, retry=r)
-    make_pool(worker, jobs=n)                  make_executor(worker=worker, jobs=n)
+Where a diagnosis runs never changes its result: the simulator is
+deterministic, so rows are bit-identical at any ``jobs``.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from collections import deque
-from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
-                    Tuple)
+from typing import Callable, Dict, List, Optional
 
 from repro.engine.fleet import WorkerFleet, fleet_available
-from repro.engine.protocol import RunOutcome, RunPlan, RunRequest
-from repro.hypervisor.controller import (ContinuationCache, RunResult,
-                                         ScheduleController)
-from repro.kernel.snapshot import CheckpointStore, dumps_state, loads_state
-from repro.observe.tracer import as_tracer
 
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.core.schedule import Schedule
-    from repro.hypervisor.snapshot import CheckpointPolicy, RunCheckpoint
-    from repro.kernel.machine import KernelMachine
-
-#: Per-task deadline: one schedule is far below the controller's step
-#: limit, so a task this late is a wedged worker, not a slow one.
-DEFAULT_TASK_TIMEOUT_S = 600.0
-
-#: How many parallel requests an engine must demand before the fleet
-#: forks.  Small diagnoses never cross it, so they never pay a single
-#: fork; large ones amortize the spin-up across thousands of requests.
-DEFAULT_SPINUP_REQUESTS = 48
-
-
-@dataclass(frozen=True)
-class FleetTask:
-    """One schedule shipped to a resident worker (``dumps_state`` wire
-    shape; the resume checkpoint travels as a store reference)."""
-
-    schedule: "Schedule"
-    resume_from: Optional["RunCheckpoint"] = None
-    watch_races: bool = True
-    checkpoint_policy: Optional["CheckpointPolicy"] = None
-
-
-@dataclass(frozen=True)
-class FleetResult:
-    """A worker's reply (captured checkpoints travel as references)."""
-
-    run: RunResult
-    checkpoints: Tuple["RunCheckpoint", ...]
-    setup_steps: int
-    resumed: bool
-    prefix_steps: int
-    spliced_steps: int
-
-
-def _execute_task(task: FleetTask, machine_factory, state: dict,
-                  max_continuations: int) -> FleetResult:
-    """Run one task on a worker's resident state.
-
-    A resuming task restores onto the worker's vehicle machine (booted
-    once, first use) and splices through the worker's own continuation
-    cache; a fresh-boot task boots its own machine, mirroring the
-    sequential snapshot-miss path.  Both are bit-identical to parent
-    execution: the controller is deterministic in (machine state,
-    schedule), and neither resuming nor splicing changes a run's bits.
-    """
-    session = None
-    if task.resume_from is not None:
-        vehicle = state.get("vehicle")
-        if vehicle is None:
-            vehicle = state["vehicle"] = machine_factory()
-        cache = state.get("continuations")
-        if cache is None:
-            cache = state["continuations"] = ContinuationCache(
-                max_continuations)
-        session = cache.session()
-        controller = ScheduleController(
-            vehicle, task.schedule, watch_races=task.watch_races,
-            resume_from=task.resume_from,
-            checkpoint_policy=task.checkpoint_policy,
-            splice_probe=session.probe)
-    else:
-        vehicle = machine_factory()
-        controller = ScheduleController(
-            vehicle, task.schedule, watch_races=task.watch_races,
-            checkpoint_policy=task.checkpoint_policy)
-    run = controller.run()
-    if session is not None:
-        session.donate(run)
-    return FleetResult(
-        run=run, checkpoints=tuple(controller.checkpoints),
-        setup_steps=vehicle.setup_steps,
-        resumed=task.resume_from is not None,
-        prefix_steps=task.resume_from.steps if task.resume_from else 0,
-        spliced_steps=controller.spliced_steps)
-
-
-def _schedule_runner(machine_factory, store: CheckpointStore,
-                     max_continuations: int):
-    """Build the worker-side task loop body.
-
-    ``store`` is the parent's checkpoint store; under ``fork`` each
-    worker inherits a copy-on-write replica at spawn time, so the keys
-    present at fork never need their bytes re-shipped in either
-    direction.  The worker's ``known`` set mirrors what the parent
-    tracks for it (``FleetWorker.known_keys``) — both sides start from
-    the fork-time key set and grow it with every payload.
-    """
-    def run_task(payload: bytes, state: dict) -> bytes:
-        worker_store = state.get("store")
-        if worker_store is None:
-            worker_store = state["store"] = store
-            state["known"] = set(store.keys())
-        known = state["known"]
-        task = loads_state(payload, store=worker_store, known=known)
-        result = _execute_task(task, machine_factory, state,
-                               max_continuations)
-        return dumps_state(result, store=worker_store, known=known)
-    return run_task
-
-
-class _LocalRunner:
-    """Parent-side execution for executors used without an engine (the
-    deprecated ``WaveExecutor`` shim): resumed requests restore onto a
-    lazily booted vehicle, fresh requests boot their own machine."""
-
-    def __init__(self, machine_factory, backend: str) -> None:
-        self.machine_factory = machine_factory
-        self.backend = backend
-        self.vehicle: Optional["KernelMachine"] = None
-
-    def run(self, request: RunRequest) -> RunOutcome:
-        if request.resume_from is not None:
-            if self.vehicle is None:
-                self.vehicle = self.machine_factory()
-            machine = self.vehicle
-        else:
-            machine = self.machine_factory()
-        controller = ScheduleController(
-            machine, request.schedule, watch_races=request.watch_races,
-            resume_from=request.resume_from,
-            checkpoint_policy=request.checkpoint_policy)
-        run = controller.run()
-        return RunOutcome(
-            run=run, checkpoints=tuple(controller.checkpoints),
-            resumed=request.resume_from is not None,
-            prefix_steps=(request.resume_from.steps
-                          if request.resume_from else 0),
-            setup_steps=machine.setup_steps,
-            spliced_steps=controller.spliced_steps,
-            backend=self.backend, remote=False)
-
-
-class InlineExecutor:
-    """The sequential placement of the executor contract (``jobs=1``)."""
-
-    name = "inline"
-    parallel = False
-
-    def __init__(self, machine_factory, tracer=None) -> None:
-        self.machine_factory = machine_factory
-        self.tracer = as_tracer(tracer)
-        self._local = _LocalRunner(machine_factory, self.name)
-
-    def engage(self, request_count: int) -> bool:
-        return False
-
-    def submit(self, plan: RunPlan, local_run=None,
-               ) -> Iterator[Tuple[int, RunOutcome]]:
-        local = local_run if local_run is not None else self._local.run
-        if self.tracer.enabled and plan.requests:
-            self.tracer.count("hv.wave.inline", len(plan.requests))
-        for index, request in enumerate(plan.requests):
-            yield index, local(request)
-
-    def close(self) -> None:
-        pass
-
-
-class FleetExecutor:
-    """Stream a plan's requests across resident fork-server workers.
-
-    Workers boot once (:mod:`repro.engine.fleet`) and stay resident
-    across plans: each keeps a vehicle machine, its own continuation
-    cache and a fork-inherited :class:`CheckpointStore` replica, so a
-    dispatched task is one pipe message of (schedule, store keys) —
-    never a machine-state pickle after the first reference.
-
-    Dispatch is *hybrid*: while workers chew on dispatched requests the
-    parent executes further requests itself (``local_run``), so a fleet
-    never makes a plan slower than running it sequentially — on a
-    single core the parent does most of the work and the overhead is
-    bounded by IPC.  A task lost to a worker death (SIGKILL, OOM) or a
-    deadline is transparently re-executed via ``local_run`` (counted as
-    ``hv.wave.fallbacks``) after the fleet respawns the worker, so a
-    plan never loses or duplicates a result.
-    """
-
-    name = "fleet"
-
-    def __init__(self, machine_factory, jobs: int, *,
-                 tracer=None,
-                 timeout_s: float = DEFAULT_TASK_TIMEOUT_S,
-                 context: str = "fork",
-                 spinup_requests: int = DEFAULT_SPINUP_REQUESTS,
-                 max_continuations: int = 65536,
-                 max_respawns: Optional[int] = None,
-                 eager: bool = False) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        self.machine_factory = machine_factory
-        self.jobs = jobs
-        self.tracer = as_tracer(tracer)
-        self.timeout_s = timeout_s
-        self.spinup_requests = spinup_requests
-        self.eager = eager
-        self._context = context
-        self._demand = 0
-        #: The parent's content-addressed checkpoint store; workers fork
-        #: with a copy-on-write replica of its state at spawn time.
-        self.store = CheckpointStore()
-        runner = _schedule_runner(machine_factory, self.store,
-                                  max_continuations)
-        self.fleet = WorkerFleet(
-            runner, jobs, context=context,
-            max_respawns=max_respawns if max_respawns is not None
-            else 4 * jobs,
-            on_spawn=self._seed_known)
-        self._local = _LocalRunner(machine_factory, self.name)
-
-    def _seed_known(self, worker) -> None:
-        # Fork inherits the store by address: every key the parent holds
-        # at spawn time is already on the worker's side of the pipe.
-        worker.known_keys = set(self.store.keys())
-
-    @property
-    def parallel(self) -> bool:
-        return self.jobs > 1 and fleet_available(self._context)
-
-    # ------------------------------------------------------------------
-    def engage(self, request_count: int) -> bool:
-        """Register demand for ``request_count`` parallel requests;
-        returns whether dispatch is genuinely available right now.
-
-        The fleet only forks once cumulative demand crosses the spin-up
-        threshold (``eager`` skips the threshold), so small diagnoses
-        never pay a single fork.  Until a worker announces readiness the
-        answer stays ``False`` and callers run sequentially — spin-up
-        never blocks the pipeline.
-        """
-        if not self.parallel:
-            return False
-        self._demand += request_count
-        if not self.fleet.started and (self.eager
-                                       or self._demand
-                                       >= self.spinup_requests):
-            self.fleet.start()
-        if not self.fleet.started:
-            return False
-        self.fleet.poll(0.0)
-        if self.eager and not self.fleet.ready_idle():
-            deadline = time.monotonic() + 5.0
-            while (time.monotonic() < deadline
-                   and not self.fleet.ready_idle()
-                   and any(w.alive for w in self.fleet.workers)):
-                self.fleet.poll(0.05)
-        return bool(self.fleet.ready_idle())
-
-    def submit(self, plan: RunPlan, local_run=None,
-               ) -> Iterator[Tuple[int, RunOutcome]]:
-        """Execute every request, yielding ``(submission_index,
-        outcome)`` pairs in completion order."""
-        requests = plan.requests
-        if not requests:
-            return
-        local = local_run if local_run is not None else self._local.run
-        if self.fleet.started:
-            self.fleet.poll(0.0)
-        if not self.fleet.started or not self.fleet.ready_idle():
-            if self.tracer.enabled:
-                self.tracer.count("hv.wave.inline", len(requests))
-            for index, request in enumerate(requests):
-                yield index, local(request)
-            return
-        pending = deque(range(len(requests)))
-        in_flight = 0
-        remote = fallbacks = assists = 0
-        while pending or in_flight:
-            # Fill every ready idle worker from the front of the queue.
-            while pending:
-                ready = self.fleet.ready_idle()
-                if not ready:
-                    break
-                worker = ready[0]
-                index = pending.popleft()
-                payload = dumps_state(self._task_of(requests[index]),
-                                      store=self.store,
-                                      known=worker.known_keys)
-                if self.fleet.dispatch(worker, index, payload,
-                                       timeout_s=self.timeout_s):
-                    in_flight += 1
-                else:
-                    pending.appendleft(index)
-            if pending:
-                # Workers are saturated: the parent lends a hand instead
-                # of idling on the pipe.
-                index = pending.popleft()
-                yield index, local(requests[index])
-                assists += 1
-                events = self.fleet.poll(0.0)
-            elif in_flight:
-                deadline = self.fleet.next_deadline()
-                wait = 0.25
-                if deadline is not None:
-                    wait = max(0.0, min(deadline - time.monotonic(), wait))
-                events = self.fleet.poll(wait)
-            else:
-                break
-            for event in events:
-                in_flight -= 1
-                if event.kind == "ok":
-                    remote += 1
-                    yield event.task_id, self._decode(event.worker,
-                                                      event.body)
-                else:
-                    # Worker exception, death or deadline: re-execute in
-                    # the parent so the plan still completes — and with
-                    # the exact behaviour (including any deterministic
-                    # error) sequential execution would have shown.
-                    fallbacks += 1
-                    yield event.task_id, local(requests[event.task_id])
-        if self.tracer.enabled:
-            self.tracer.count("hv.wave.batches")
-            self.tracer.count("hv.wave.jobs", len(requests))
-            self.tracer.count("hv.wave.dispatched", remote)
-            if assists:
-                self.tracer.count("hv.wave.inline", assists)
-            if fallbacks:
-                self.tracer.count("hv.wave.fallbacks", fallbacks)
-            self.tracer.point("hv.wave.batch", stage="hv",
-                              jobs=len(requests),
-                              width=len(self.fleet.workers),
-                              fallbacks=fallbacks)
-
-    def _task_of(self, request: RunRequest) -> FleetTask:
-        return FleetTask(schedule=request.schedule,
-                         resume_from=request.resume_from,
-                         watch_races=request.watch_races,
-                         checkpoint_policy=request.checkpoint_policy)
-
-    def _decode(self, worker, payload: bytes) -> RunOutcome:
-        result: FleetResult = loads_state(payload, store=self.store,
-                                          known=worker.known_keys)
-        return RunOutcome(
-            run=result.run, checkpoints=result.checkpoints,
-            resumed=result.resumed, prefix_steps=result.prefix_steps,
-            setup_steps=result.setup_steps,
-            spliced_steps=result.spliced_steps,
-            backend=self.name, remote=True)
-
-    def close(self) -> None:
-        self.fleet.close()
-
-
-# ----------------------------------------------------------------------
-# Job executors: the TriageJob contract on the same fleet substrate.
 
 def _call_job_worker(worker, payload: dict, state: dict) -> dict:
     return worker(payload)
@@ -408,14 +36,13 @@ class JobExecutor:
     """Run :class:`~repro.service.queue.TriageJob`\\ s on a resident
     worker fleet.
 
-    Same contract as the deprecated process-per-attempt ``WorkerPool``
-    — per-job deadline (drained once more before the kill, so a result
+    Per-job deadline (drained once more before the kill, so a result
     posted at the wire is never misreported as a timeout), worker-death
     retry with the :class:`~repro.service.queue.RetryPolicy` backoff,
     deterministic worker exceptions reported as ``failed`` without
-    retry — but workers fork once and stay resident across ``run()``
-    calls, so repeated drains (the daemon's steady state) stop paying a
-    fork + import per attempt.
+    retry.  Workers fork once and stay resident across ``run()`` calls,
+    so repeated drains (the daemon's steady state) pay no fork + import
+    per attempt.
     """
 
     name = "jobs"
@@ -535,46 +162,19 @@ class JobExecutor:
 
 
 # ----------------------------------------------------------------------
-def make_executor(*, machine_factory=None, worker=None, jobs: int = 1,
-                  tracer=None, retry=None, context: Optional[str] = None,
-                  timeout_s: Optional[float] = None,
-                  spinup_requests: Optional[int] = None,
-                  max_continuations: int = 65536,
-                  max_respawns: Optional[int] = None,
-                  eager: bool = False):
+def make_executor(*, worker: Callable[[dict], dict], jobs: int = 1,
+                  retry=None, context: Optional[str] = None):
     """The one front door for process dispatch.
 
-    Exactly one of ``machine_factory``/``worker`` selects the family:
+    Builds a **job executor** (the triage contract:
+    ``run(jobs, on_complete)``) for ``worker``:
+    :class:`~repro.service.pool.InProcessPool` at ``jobs <= 1`` or
+    where forking is impossible (daemonic workers), else a
+    :class:`JobExecutor` on the resident fleet.
 
-    * ``machine_factory=`` builds a **schedule executor** (the engine
-      contract: ``submit(RunPlan) -> stream of (index, RunOutcome)``):
-      :class:`InlineExecutor` at ``jobs <= 1``, else a
-      :class:`FleetExecutor` of resident fork-server workers.
-    * ``worker=`` builds a **job executor** (the triage contract:
-      ``run(jobs, on_complete)``):
-      :class:`~repro.service.pool.InProcessPool` at ``jobs <= 1`` or
-      where forking is impossible (daemonic workers), else a
-      :class:`JobExecutor` on the fleet.
-
-    Every executor has ``close()``; long-lived owners (the engine, the
-    daemon) must call it to retire the resident workers.
+    Every executor has ``close()``; long-lived owners (the daemon) must
+    call it to retire the resident workers.
     """
-    if (machine_factory is None) == (worker is None):
-        raise TypeError(
-            "make_executor() takes exactly one of machine_factory= "
-            "(schedule executor) or worker= (job executor)")
-    if machine_factory is not None:
-        if jobs <= 1:
-            return InlineExecutor(machine_factory, tracer=tracer)
-        return FleetExecutor(
-            machine_factory, jobs, tracer=tracer,
-            timeout_s=(timeout_s if timeout_s is not None
-                       else DEFAULT_TASK_TIMEOUT_S),
-            context=context or "fork",
-            spinup_requests=(spinup_requests if spinup_requests is not None
-                             else DEFAULT_SPINUP_REQUESTS),
-            max_continuations=max_continuations,
-            max_respawns=max_respawns, eager=eager)
     from repro.service.pool import InProcessPool
 
     if jobs <= 1 or not fleet_available(context or "fork"):

@@ -1,24 +1,19 @@
 """The persistent fork-server worker fleet.
 
-:class:`WorkerFleet` is the process substrate under every executor in
-:mod:`repro.engine.executors`: a fixed-width set of resident child
-processes that boot **once** and then service an unbounded stream of
-tasks over duplex pipes.  This replaces the process-per-attempt /
-process-per-wave designs (one ``fork`` + module re-import + state
-pickle per batch) whose dispatch overhead measured 3–8× *slower* than
-sequential execution on small waves (``bench_waves.json``, pre-fleet).
+:class:`WorkerFleet` is the process substrate under
+:class:`~repro.engine.executors.JobExecutor`: a fixed-width set of
+resident child processes that boot **once** and then service an
+unbounded stream of tasks (whole diagnoses) over duplex pipes, instead
+of paying a ``fork`` + module re-import per attempt.
 
 Design points:
 
 * **Fork inheritance** — workers are started under the ``fork`` start
-  method by default, so unpicklable closures (machine factories) and
-  large shared structures (the parent's
-  :class:`~repro.kernel.snapshot.CheckpointStore`) are inherited by
-  address at spawn time, copy-on-write.
-* **Resident state** — each worker keeps a ``state`` dict across tasks
-  (vehicle machine, continuation cache, store replica), which is what
-  makes the fleet a *fork server*: the boot cost is paid once per
-  worker lifetime, not once per task.
+  method by default, so the worker callable and the already-imported
+  modules are inherited by address at spawn time, copy-on-write.
+* **Resident state** — each worker keeps a ``state`` dict across tasks,
+  which is what makes the fleet a *fork server*: the boot cost is paid
+  once per worker lifetime, not once per task.
 * **Streaming completion** — :meth:`WorkerFleet.poll` surfaces results
   as events in completion order; callers merge by task id, so no
   barrier join is ever required.
@@ -27,8 +22,8 @@ Design points:
   carrying its in-flight task, and respawned within a bounded budget;
   a worker past a task deadline is drained once more, then killed and
   respawned (``timeout`` event).  The *caller* decides whether a lost
-  task retries, falls back inline, or fails — the fleet only guarantees
-  no task silently disappears.
+  task retries or fails — the fleet only guarantees no task silently
+  disappears.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Set
+from typing import Any, Callable, List, Optional
 
 from multiprocessing.connection import wait as _connection_wait
 
@@ -108,9 +103,6 @@ class FleetWorker:
         self.task_id: Optional[int] = None
         self.dispatched_at = 0.0
         self.deadline: Optional[float] = None
-        #: Checkpoint-store keys this worker is known to hold (seeded at
-        #: spawn from the fork-inherited store, grown by every send).
-        self.known_keys: Set[str] = set()
 
     @property
     def alive(self) -> bool:
@@ -159,9 +151,7 @@ class WorkerFleet:
 
     def __init__(self, runner: Runner, jobs: int, *,
                  context: str = "fork",
-                 max_respawns: int = 16,
-                 on_spawn: Optional[Callable[[FleetWorker], None]] = None,
-                 ) -> None:
+                 max_respawns: int = 16) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         self.runner = runner
@@ -169,7 +159,6 @@ class WorkerFleet:
         self.context_name = context
         self.max_respawns = max_respawns
         self.respawns = 0
-        self.on_spawn = on_spawn
         self.workers: List[FleetWorker] = []
         self.started = False
         self._spawned = 0
@@ -189,8 +178,6 @@ class WorkerFleet:
     def _spawn(self) -> FleetWorker:
         worker = FleetWorker(self._ctx, self.runner, self._spawned)
         self._spawned += 1
-        if self.on_spawn is not None:
-            self.on_spawn(worker)
         self.workers.append(worker)
         return worker
 
@@ -217,9 +204,6 @@ class WorkerFleet:
         """Alive workers with no task (ready or still booting — the pipe
         buffers, so dispatching to a booting worker is fine)."""
         return [w for w in self.workers if w.idle]
-
-    def busy(self) -> List[FleetWorker]:
-        return [w for w in self.workers if w.task_id is not None]
 
     def dispatch(self, worker: FleetWorker, task_id: int, payload,
                  timeout_s: Optional[float] = None) -> bool:
@@ -304,8 +288,3 @@ class WorkerFleet:
         if self.started and self.respawns < self.max_respawns:
             self.respawns += 1
             self._spawn()
-
-    def next_deadline(self) -> Optional[float]:
-        deadlines = [w.deadline for w in self.workers
-                     if w.deadline is not None]
-        return min(deadlines) if deadlines else None

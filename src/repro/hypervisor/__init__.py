@@ -13,8 +13,8 @@ This package provides the same capabilities over the simulated kernel:
   schedules (the hypercall protocol of sections 4.3–4.5);
 * :mod:`repro.hypervisor.vm` — one bootable VM with reboot accounting;
 * :mod:`repro.hypervisor.manager` — the pool of reproducer/diagnoser VMs;
-* :mod:`repro.hypervisor.waves` — parallel execution of independent
-  schedule batches across child processes (docs/PERFORMANCE.md).
+* :mod:`repro.hypervisor.snapshot` — run checkpoints for resuming a
+  schedule mid-run (docs/PERFORMANCE.md).
 """
 
 from repro.hypervisor.agent import ObservedRace, UserAgent
@@ -32,7 +32,6 @@ from repro.hypervisor.snapshot import (
 )
 from repro.hypervisor.trampoline import Trampoline
 from repro.hypervisor.vm import VirtualMachine
-from repro.hypervisor.waves import WaveExecutor, WaveJob, WaveOutcome
 
 __all__ = [
     "BreakpointManager",
@@ -49,9 +48,6 @@ __all__ = [
     "VirtualMachine",
     "VmPool",
     "WatchpointManager",
-    "WaveExecutor",
-    "WaveJob",
-    "WaveOutcome",
     "capture",
     "record",
     "replay",

@@ -4,14 +4,9 @@ AITIA's manager (2,889 LoC of GO in the paper) launches multiple guest
 VMs — 32 in the evaluation — and parallelizes the reproducing stage across
 slices and the diagnosing stage across flip tests (sections 4.1, 4.5).
 
-By default execution is sequential and work is only *assigned* to VMs
-round-robin, exactly as the manager would, so per-VM accounting and the
-idealized parallel wall-clock estimate are meaningful.  With
-``wave_jobs > 1`` a batch handed to :meth:`execute_all` additionally
-*runs* in parallel: the pool hands the batch to a snapshot-free
-:class:`~repro.engine.ScheduleExecutionEngine` that fans it out to
-child processes and merges the results in submission order, so the
-caller observes the same result sequence either way.
+Execution is sequential and work is only *assigned* to VMs round-robin,
+exactly as the manager would, so per-VM accounting and the idealized
+parallel wall-clock estimate are meaningful.
 """
 
 from __future__ import annotations
@@ -30,8 +25,7 @@ class VmPool:
     """A fixed-size pool of reproducer/diagnoser VMs."""
 
     def __init__(self, machine_factory: Callable[[], KernelMachine],
-                 vm_count: int = DEFAULT_VM_COUNT, tracer=None,
-                 wave_jobs: int = 1) -> None:
+                 vm_count: int = DEFAULT_VM_COUNT, tracer=None) -> None:
         from repro.observe.tracer import as_tracer
 
         if vm_count < 1:
@@ -41,17 +35,8 @@ class VmPool:
         self.vms = [VirtualMachine(i, machine_factory)
                     for i in range(vm_count)]
         self._next = 0
-        self._engine = None
-        if wave_jobs > 1:
-            # Imported here: repro.hypervisor.__init__ loads this module
-            # before repro.hypervisor.waves, which the engine builds on.
-            from repro.engine import EnginePolicy, ScheduleExecutionEngine
-            self._engine = ScheduleExecutionEngine(
-                machine_factory,
-                EnginePolicy(use_snapshots=False, wave_jobs=wave_jobs),
-                tracer=self.tracer)
-        #: Width of the widest batch that genuinely ran (or, sequentially,
-        #: could have run) concurrently since :meth:`reset_accounting`.
+        #: Width of the widest batch that could have run concurrently
+        #: since :meth:`reset_accounting`.
         self.max_batch_width = 0
 
     def execute(self, schedule: Schedule,
@@ -67,49 +52,22 @@ class VmPool:
 
     def execute_all(self, schedules: Sequence[Schedule],
                     watch_races: bool = True) -> List[RunResult]:
-        """Run a batch of independent schedules (a diagnosing-stage wave).
+        """Run a batch of independent schedules (a diagnosing-stage batch).
 
-        Each batch restarts assignment at VM 0: a wave of *k* schedules
+        Each batch restarts assignment at VM 0: a batch of *k* schedules
         occupies exactly ``min(k, vm_count)`` VMs, so consecutive small
         batches pile onto the same VMs instead of drifting round-robin
         across the whole pool and inflating accounting beyond any width
         that actually ran concurrently.
-
-        With a parallel engine the batch is dispatched to child
-        processes; results come back in submission order and each is
-        recorded on its round-robin VM, so accounting matches the
-        sequential path exactly.
         """
         self._next = 0
         width = min(len(schedules), len(self.vms))
-        if self._use_waves(len(schedules)):
-            width = min(width, self._engine.policy.wave_jobs)
         self.max_batch_width = max(self.max_batch_width, width)
         if self.tracer.enabled and schedules:
             self.tracer.point("hv.vm_batch", stage="hv",
                               schedules=len(schedules), width=width)
-        if not self._use_waves(len(schedules)):
-            return [self.execute(s, watch_races=watch_races)
-                    for s in schedules]
-
-        from repro.engine import RunPlan, RunRequest
-        plan = RunPlan([RunRequest(schedule=s, watch_races=watch_races)
-                        for s in schedules], phase="vm.batch")
-        runs: List[RunResult] = []
-        for outcome in self._engine.run_plan(plan):
-            vm = self.vms[self._next]
-            self._next = (self._next + 1) % len(self.vms)
-            self.tracer.count("hv.vm_assignments")
-            vm.record(outcome.run)
-            runs.append(outcome.run)
-        return runs
-
-    def _use_waves(self, batch_size: int) -> bool:
-        # wave_ready(probe=True) boots one machine the first time to check
-        # for a coverage callback: coverage callbacks live in the parent,
-        # so a coverage-instrumented machine pins the pool to inline runs.
-        return (self._engine is not None and batch_size >= 2
-                and self._engine.wave_ready(probe=True))
+        return [self.execute(s, watch_races=watch_races)
+                for s in schedules]
 
     def reset_accounting(self) -> None:
         """Zero all per-VM accounting and restart assignment at VM 0 —

@@ -42,16 +42,10 @@ class VirtualMachine:
                                         watch_races=watch_races,
                                         tracer=tracer)
         run = controller.run()
-        self.record(run)
-        return run
-
-    def record(self, run: RunResult) -> None:
-        """Account for a run this VM was assigned but that executed
-        elsewhere (a parallel wave child): same revert/reboot bookkeeping
-        as :meth:`execute`, no second execution."""
         self.accounting.runs += 1
         self.accounting.steps += run.steps
         if run.failed:
             self.accounting.reboots += 1
         else:
             self.accounting.restores += 1
+        return run

@@ -472,8 +472,8 @@ class Memory:
 
         Same-lineage restores replay undo/overlay deltas through the common
         ancestor — O(changes between here and there).  Cross-lineage images
-        (e.g. unpickled from the wire) fall back to installing the
-        materialized state."""
+        (another machine's images, unpickled copies) fall back to
+        installing the materialized state."""
         if isinstance(snap, dict):  # legacy full-copy snapshot dict
             self._install(dict(snap["cells"]), dict(snap["objects"]),
                           dict(snap["globals"]),

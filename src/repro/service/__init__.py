@@ -16,14 +16,15 @@ Modules:
   (crash-report text + ftrace history text in one file);
 * :mod:`repro.service.store` — persistent JSONL result cache;
 * :mod:`repro.service.queue` — job model, priorities, retry policy;
-* :mod:`repro.service.pool` — process pool + in-process fallback;
+* :mod:`repro.service.pool` — the in-process job placement (process
+  pools come from :func:`repro.engine.executors.make_executor`);
 * :mod:`repro.service.metrics` — counters and per-stage timings;
 * :mod:`repro.service.triage` — the orchestrator and CLI backend.
 """
 
 from repro.service.artifacts import ArtifactParseError, CrashArtifact
 from repro.service.metrics import Histogram, ServiceMetrics
-from repro.service.pool import InProcessPool, WorkerPool, make_pool
+from repro.service.pool import InProcessPool
 from repro.service.queue import (
     JobOutcome,
     QueueFull,
@@ -54,9 +55,7 @@ __all__ = [
     "TriageJob",
     "TriageService",
     "TriageSummary",
-    "WorkerPool",
     "diagnose_job",
-    "make_pool",
     "shard_index",
     "signature_of",
 ]

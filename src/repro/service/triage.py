@@ -67,9 +67,10 @@ def diagnose_job(payload: dict) -> dict:
     from repro.engine import EnginePolicy
     from repro.policy import ExperienceIndex
 
-    policy = EnginePolicy.resolve(wave_jobs=payload.get("wave_jobs"),
-                                  executor=payload.get("executor"),
-                                  search_policy=payload.get("policy"))
+    # Payloads journaled by older daemons may carry extra engine keys
+    # (a per-diagnosis wave width, an executor name); only the search
+    # policy still shapes a diagnosis, so anything else is ignored.
+    policy = EnginePolicy.resolve(search_policy=payload.get("policy"))
     experience = None
     if policy.search_policy != "static":
         # Rebuild the submitter's experience index from the payload
@@ -78,12 +79,8 @@ def diagnose_job(payload: dict) -> dict:
         experience = ExperienceIndex.from_snapshot(payload.get("experience"))
     diagnosis = Aitia(
         bug, report=report,
-        lifs_config=LifsConfig(wave_jobs=policy.wave_jobs,
-                               executor=policy.executor,
-                               policy=policy.search_policy),
-        ca_config=CaConfig(wave_jobs=policy.wave_jobs,
-                           executor=policy.executor,
-                           policy=policy.search_policy),
+        lifs_config=LifsConfig(policy=policy.search_policy),
+        ca_config=CaConfig(policy=policy.search_policy),
         experience=experience).diagnose()
     row = summarize_diagnosis(bug, diagnosis)
     result = {"bug_id": bug.bug_id, "mode": mode, "row": asdict(row)}
@@ -168,21 +165,12 @@ class TriageService:
                  retry: Optional[RetryPolicy] = None,
                  timeout_s: float = DEFAULT_JOB_TIMEOUT_S,
                  context: Optional[str] = None,
-                 wave_jobs: int = 1,
-                 executor: str = "fleet",
                  policy: str = "static",
                  tracer=None) -> None:
         from repro.observe.tracer import as_tracer
         from repro.policy import ExperienceIndex
 
         self.jobs = jobs
-        #: Per-diagnosis parallel wave width, forwarded to every worker's
-        #: LIFS/CA configs.  Waves degrade to inline execution inside
-        #: ``jobs > 1`` workers (daemonic processes may not fork).
-        self.wave_jobs = wave_jobs
-        #: Wave dispatch backend for each diagnosis (``"fleet"`` /
-        #: ``"inline"``), forwarded alongside ``wave_jobs``.
-        self.executor = executor
         #: Search policy for each diagnosis (``"static"`` /
         #: ``"adaptive"``), forwarded in every job payload.
         self.policy = policy
@@ -215,7 +203,6 @@ class TriageService:
             self.metrics.incr("reports_deduped")
             return existing
         payload = dict(payload, bug_id=bug_id, digest=digest,
-                       wave_jobs=self.wave_jobs, executor=self.executor,
                        policy=self.policy)
         if self.policy != "static" and self.experience:
             payload["experience"] = self.experience.snapshot()

@@ -86,6 +86,20 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "SYZ-01", "--parallel-waves", "2"],
+        ["diagnose", "SYZ-01", "--executor", "fleet"],
+        ["triage", "--corpus", "--parallel-waves", "2"],
+        ["serve", "--executor", "inline"],
+    ])
+    def test_removed_parallelism_flags_are_usage_errors(self, argv, capsys):
+        # --jobs is the only parallelism knob: a diagnosis runs in one
+        # process, so the old per-diagnosis wave flags must not parse.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestTraceReport:
     def test_report_renders_snapshot_counters(self):
@@ -114,19 +128,6 @@ class TestTraceReport:
         assert ("CA snapshot engine: 4 resumed / 0 fresh boots; "
                 "80 steps interpreted, 300 saved, 20 spliced") in out
 
-    def test_report_renders_wave_counters(self):
-        from repro.observe.events import COUNTERS, TraceEvent
-        from repro.observe.report import render_trace_report
-
-        out = render_trace_report([
-            TraceEvent(kind=COUNTERS, name="counters", ts=0.1, attrs={
-                "hv.wave.batches": 3, "hv.wave.jobs": 40,
-                "hv.wave.dispatched": 38, "hv.wave.inline": 2,
-                "hv.wave.fallbacks": 1, "hv.wave.discarded": 4})])
-        assert ("parallel waves: 3 batches, 40 jobs "
-                "(38 dispatched to children, 2 inline, 1 fallbacks)") in out
-        assert "4 speculative result(s) discarded on early exit" in out
-
     def test_report_without_wave_counters_omits_waves(self):
         from repro.observe.events import COUNTERS, TraceEvent
         from repro.observe.report import render_trace_report
@@ -134,36 +135,6 @@ class TestTraceReport:
         out = render_trace_report([
             TraceEvent(kind=COUNTERS, name="counters", ts=0.1,
                        attrs={"lifs.schedules": 2})])
-        assert "parallel waves" not in out
-
-    def test_wave_cli_end_to_end(self, tmp_path, capsys, monkeypatch):
-        # SYZ-05 is too small to ever form a 2-wide wave; CVE-2017-15649
-        # has hundreds of schedules per stage, so waves genuinely fire.
-        # The engine declines the fleet on single-core hosts (forked
-        # workers cannot overlap the parent), so pretend we have cores
-        # to keep this end-to-end on any runner.
-        import repro.engine.engine as engine_module
-        monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 2)
-        trace = str(tmp_path / "trace.jsonl")
-        assert main(["diagnose", "CVE-2017-15649", "--parallel-waves", "2",
-                     "--trace", trace]) == 0
-        capsys.readouterr()
-        assert main(["trace-report", trace]) == 0
-        out = capsys.readouterr().out
-        assert "parallel waves:" in out
-
-    def test_wave_cli_single_core_declines_fleet(self, tmp_path, capsys,
-                                                 monkeypatch):
-        # On one core --parallel-waves must be a harmless no-op: the
-        # diagnosis succeeds, sequentially, with no wave section.
-        import repro.engine.engine as engine_module
-        monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 1)
-        trace = str(tmp_path / "trace.jsonl")
-        assert main(["diagnose", "SYZ-01", "--parallel-waves", "2",
-                     "--trace", trace]) == 0
-        capsys.readouterr()
-        assert main(["trace-report", trace]) == 0
-        out = capsys.readouterr().out
         assert "parallel waves" not in out
 
     def test_report_without_snapshot_counters_omits_engine(self):
@@ -186,19 +157,18 @@ class TestTraceReport:
                                               "requests": 7}),
             TraceEvent(kind=POINT, name="engine.plan", ts=0.2,
                        stage="engine", attrs={"phase": "ca.recheck",
-                                              "backend": "wave",
+                                              "backend": "inline",
                                               "requests": 3}),
             TraceEvent(kind=COUNTERS, name="counters", ts=0.3, attrs={
                 "engine.requests": 10, "engine.plans": 2,
-                "engine.dedup_hits": 4, "engine.backend.snapshot": 7,
-                "engine.backend.wave": 3}),
+                "engine.backend.snapshot": 7,
+                "engine.backend.inline": 3}),
         ]
         out = render_trace_report(events)
-        assert ("execution engine: 10 requests over 2 plans, "
-                "4 dedup hits") in out
-        assert "backends: snapshot=7, wave=3" in out
+        assert "execution engine: 10 requests over 2 plans" in out
+        assert "backends: inline=3, snapshot=7" in out
         assert "ca.identify: 7 requests in 1 plan(s) via snapshot x1" in out
-        assert "ca.recheck: 3 requests in 1 plan(s) via wave x1" in out
+        assert "ca.recheck: 3 requests in 1 plan(s) via inline x1" in out
 
     def test_report_without_engine_counters_omits_section(self):
         from repro.observe.events import COUNTERS, TraceEvent

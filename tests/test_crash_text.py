@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.corpus import registry
 from repro.corpus.registry import get_bug
 from repro.kernel.failures import CrashReport, Failure, FailureKind
 from repro.trace.crash import (
@@ -12,6 +13,35 @@ from repro.trace.crash import (
     render_crash_report,
 )
 from repro.trace.syzkaller import run_bug_finder
+
+
+#: One failure per kind, shaped the way the kernel raises it: faults
+#: name the faulting address and object, a deadlock names neither, and
+#: a leak is found after every thread finished, so it names no thread.
+_KIND_FAILURES = {
+    FailureKind.KASAN_UAF: Failure(
+        FailureKind.KASAN_UAF, "A", "A3",
+        "use-after-free write in irqfd (freed at K1)", 0x100008, "irqfd"),
+    FailureKind.KASAN_OOB: Failure(
+        FailureKind.KASAN_OOB, "B", "B3",
+        "slab-out-of-bounds access in buf (offset 24, size 16)",
+        0x100018, "buf"),
+    FailureKind.GPF: Failure(
+        FailureKind.GPF, "A", "A4", "NULL pointer dereference", 0),
+    FailureKind.ASSERTION: Failure(
+        FailureKind.ASSERTION, "kworker/flush#3", "K2",
+        "schedule_bh: bottom half without ready mark"),
+    FailureKind.MEMORY_LEAK: Failure(
+        FailureKind.MEMORY_LEAK, "", "B1",
+        "object filter allocated at B1 was never freed",
+        object_tag="filter"),
+    FailureKind.DEADLOCK: Failure(
+        FailureKind.DEADLOCK, "A", "A2",
+        "threads hung: A, B (A->l1, B->l2)"),
+    FailureKind.DOUBLE_FREE: Failure(
+        FailureKind.DOUBLE_FREE, "A", "A3", "double free of n_hdlc_buf",
+        0x100000, "n_hdlc_buf"),
+}
 
 
 class TestRoundTrip:
@@ -34,6 +64,22 @@ class TestRoundTrip:
     def test_every_failure_kind_round_trips(self, kind):
         parsed = parse_crash_report(render_crash_report(self._report(kind)))
         assert parsed.symptom is kind
+
+    @pytest.mark.parametrize("kind", list(FailureKind))
+    def test_every_failure_kind_parses_to_an_equal_failure(self, kind):
+        failure = _KIND_FAILURES[kind]
+        text = render_crash_report(CrashReport(failure=failure))
+        assert text.splitlines()[0] == f"BUG: {failure}"
+        assert parse_crash_report(text).failure == failure
+
+    def test_every_corpus_failure_parses_to_an_equal_failure(self):
+        registry.load()
+        bugs = (registry.all_bugs() + registry.figure_examples()
+                + registry.extension_bugs())
+        for bug in bugs:
+            crash = run_bug_finder(bug).crash
+            parsed = parse_crash_report(render_crash_report(crash))
+            assert parsed.failure == crash.failure, bug.bug_id
 
     def test_failure_without_location(self):
         failure = Failure(kind=FailureKind.MEMORY_LEAK,
@@ -96,6 +142,11 @@ class TestParseErrors:
         with pytest.raises(CrashParseError, match="unknown failure kind"):
             parse_crash_report("BUG: ")
 
+    def test_bad_buggy_address(self):
+        with pytest.raises(CrashParseError, match="buggy address"):
+            parse_crash_report("BUG: KASAN: use-after-free in A at A3\n"
+                               "Buggy address: 0xzz")
+
     def test_header_only_whitespace_after_tag(self):
         with pytest.raises(CrashParseError):
             parse_crash_report("BUG:    \nCall trace:\n  A: f+A1")
@@ -143,10 +194,12 @@ _MESSAGE = st.text(
 def _failures(draw):
     kind = draw(st.sampled_from(list(FailureKind)))
     located = draw(st.booleans())
-    thread = draw(_NAME) if located else ""
+    thread = draw(_NAME | st.just("")) if located else ""
     label = draw(_LABEL) if located else ""
     return Failure(kind=kind, thread=thread, instr_label=label,
-                   message=draw(_MESSAGE))
+                   message=draw(_MESSAGE),
+                   data_addr=draw(st.none() | st.integers(0, 2 ** 48)),
+                   object_tag=draw(st.none() | _NAME))
 
 
 @st.composite
@@ -169,6 +222,7 @@ class TestRenderParseProperty:
         text = render_crash_report(report)
         parsed = parse_crash_report(text)
         assert render_crash_report(parsed) == text
+        assert parsed.failure == failure
         assert parsed.symptom is failure.kind
         assert parsed.location == failure.instr_label
         assert parsed.kernel_log == log

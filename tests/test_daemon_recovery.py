@@ -3,7 +3,8 @@ verify journaled jobs re-run exactly once and completed results are
 never re-diagnosed.
 
 These run the real CLI in a subprocess (SIGTERM for the graceful path,
-SIGKILL for the hard path) against the stub diagnoser, talking plain
+SIGKILL for the hard path) against the stub diagnoser — or, where the
+diagnosis itself is under test, the real pipeline — talking plain
 ``http.client`` to the published port.
 """
 
@@ -19,8 +20,11 @@ import time
 import pytest
 
 from repro.corpus.registry import get_bug
+from repro.daemon.queue import DEFAULT_QUEUE_SHARDS
 from repro.observe.export import parse_exposition
 from repro.service.artifacts import CrashArtifact
+from repro.service.signature import shard_index, signature_of_text
+from repro.service.triage import diagnose_job
 from repro.trace.syzkaller import run_bug_finder
 
 BUGS = ("SYZ-01", "SYZ-02", "SYZ-03")
@@ -35,17 +39,19 @@ def artifact_text(bug_id: str) -> str:
 class Daemon:
     """One ``repro serve`` subprocess and its published port."""
 
-    def __init__(self, data_dir: str, port_file: str, *extra: str) -> None:
+    def __init__(self, data_dir: str, port_file: str, *extra: str,
+                 diagnoser=STUB) -> None:
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src)
         if os.path.exists(port_file):
             os.unlink(port_file)
         self.port_file = port_file
+        if diagnoser is not None:
+            extra = ("--diagnoser", diagnoser) + extra
         self.process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--data-dir", data_dir, "--port-file", port_file,
-             "--diagnoser", STUB, *extra],
+             "--data-dir", data_dir, "--port-file", port_file, *extra],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         self.port = self._wait_for_port()
 
@@ -111,8 +117,8 @@ def launch(tmp_path):
     data_dir = str(tmp_path / "data")
     port_file = str(tmp_path / "port")
 
-    def start(*extra: str) -> Daemon:
-        daemon = Daemon(data_dir, port_file, *extra)
+    def start(*extra: str, diagnoser=STUB) -> Daemon:
+        daemon = Daemon(data_dir, port_file, *extra, diagnoser=diagnoser)
         daemons.append(daemon)
         return daemon
 
@@ -178,3 +184,41 @@ def test_hard_kill_mid_queue_loses_no_accepted_work(launch):
         status, body = draining.request("GET", f"/result/{digest}")
         assert status == 200
     assert draining.sigterm() == 0
+
+
+def test_journal_with_removed_engine_keys_replays_once(launch, tmp_path):
+    """A journal written before per-diagnosis wave parallelism was
+    removed carries ``wave_jobs``/``executor`` payload keys.  It must
+    still replay exactly once, through the real pipeline, and produce
+    the same diagnosis a payload without those keys produces."""
+    bug_id = BUGS[0]
+    text = artifact_text(bug_id)
+    digest = signature_of_text(CrashArtifact.parse(text).crash_text).digest
+    job_id = f"{bug_id}:{digest}"
+    payload = {"mode": "artifact", "artifact": text, "bug_id": bug_id,
+               "digest": digest, "tenant": "default", "policy": "static"}
+    legacy = dict(payload, wave_jobs=2, executor="fleet")
+    queue_dir = tmp_path / "data" / "queue"
+    queue_dir.mkdir(parents=True)
+    shard = shard_index(digest, DEFAULT_QUEUE_SHARDS)
+    entry = {"op": "push", "job_id": job_id, "digest": digest,
+             "priority": 0, "timeout_s": 300.0, "tenant": "default",
+             "payload": legacy}
+    (queue_dir / f"queue-{shard:02d}.journal").write_text(
+        json.dumps(entry, sort_keys=True) + "\n")
+
+    daemon = launch(diagnoser=None)
+    metrics = daemon.wait_for_metric("aitia_daemon_completed_total", 1)
+    assert metrics["aitia_daemon_recovered_total"] == 1
+    assert metrics["aitia_daemon_completed_total"] == 1
+    assert metrics.get("aitia_daemon_failed_total", 0) == 0
+    status, body = daemon.request("GET", f"/result/{digest}")
+    assert status == 200
+    assert json.loads(body)["result"]["row"] == \
+        diagnose_job(payload)["row"]
+    assert daemon.sigterm() == 0
+
+    # Replayed once: the journal no longer owes the job.
+    restarted = launch()
+    assert restarted.metrics().get("aitia_daemon_recovered_total", 0) == 0
+    assert restarted.sigterm() == 0

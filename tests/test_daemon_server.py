@@ -8,6 +8,7 @@ instant stub diagnoser so nothing here costs a real diagnosis.
 
 import asyncio
 import functools
+import threading
 import time
 
 from repro.corpus.registry import get_bug
@@ -20,6 +21,7 @@ from repro.daemon import (
 )
 from repro.observe.export import parse_exposition
 from repro.service.artifacts import CrashArtifact
+from repro.service.queue import JobOutcome
 from repro.service.triage import EMPTY_INTAKE_MESSAGE
 from repro.trace.syzkaller import run_bug_finder
 
@@ -145,6 +147,52 @@ class TestSubmitPath:
                 "GET", f"/result/{accepted['digest']}")
             assert response.status == 202
             assert response.json()["status"] == "pending"
+
+        daemon_test(tmp_path, scenario, paused=True)
+
+    def test_finished_but_unsettled_job_is_still_pending(self, tmp_path):
+        """Between the executor marking a job SUCCEEDED and _finish
+        storing its result, the job must read as pending/running (202),
+        never as a missing result (404) or a result-less success."""
+        entered, release = threading.Event(), threading.Event()
+
+        async def scenario(daemon, client):
+            finish = daemon._finish
+
+            def held_finish(job):
+                entered.set()
+                release.wait(10)
+                finish(job)
+
+            daemon._finish = held_finish
+            accepted = (await client.submit(artifact_text("SYZ-03"))).json()
+            daemon.paused = False
+            loop = asyncio.get_running_loop()
+            try:
+                assert await loop.run_in_executor(None, entered.wait, 10)
+                job = daemon._jobs[accepted["job_id"]]
+                assert job.outcome is JobOutcome.SUCCEEDED
+
+                result = await client.request(
+                    "GET", f"/result/{accepted['digest']}")
+                assert result.status == 202
+                assert result.json()["status"] == "pending"
+                status = (await client.request(
+                    "GET", f"/job/{accepted['job_id']}")).json()
+                assert status["status"] == "running"
+                assert "result" not in status
+                again = (await client.submit(
+                    artifact_text("SYZ-03"))).json()
+                assert again["status"] == "duplicate"
+            finally:
+                release.set()
+
+            job = await client.wait_for_job(accepted["job_id"])
+            assert job["status"] == "succeeded"
+            assert job["result"]["row"]["reproduced"] is True
+            result = await client.request(
+                "GET", f"/result/{accepted['digest']}")
+            assert result.status == 200
 
         daemon_test(tmp_path, scenario, paused=True)
 

@@ -1,20 +1,14 @@
 """Regression tests for the interpreter fast path (PR 9).
 
-Covers the three bug fixes that rode along with the instruction-level
-fast path:
+Covers the bug fixes that rode along with the instruction-level fast
+path:
 
-* ``CheckpointStore.put`` must not memoize ``id(obj) -> key`` for
-  objects the store does not retain — a garbage-collected duplicate's
-  id can be reused by a different checkpoint, which the stale memo
-  would resolve to the wrong key.
 * ``Memory.free`` of a redzone address must fault (GPF), not silently
   free the object whose redzone it is — or, worse, a neighbour.
 * ``Memory`` reads must not mutate cells: loading an uninitialized
   in-bounds slot returns 0 without materializing it, so pure loads
   never change ``machine_state_key``.
 """
-
-import gc
 
 import pytest
 
@@ -23,63 +17,10 @@ from repro.kernel.failures import FailureKind, KernelFault
 from repro.kernel.machine import KernelMachine, ThreadSpec
 from repro.kernel.memory import Memory, ObjectState
 from repro.kernel.snapshot import (
-    CheckpointStore,
     machine_state_key,
     snapshot_machine,
     snapshot_state_key,
 )
-
-
-class TestCheckpointStoreIdReuse:
-    """S1: the id() memo may only reference objects the store keeps
-    alive."""
-
-    def test_discarded_duplicate_is_not_memoized(self):
-        store = CheckpointStore()
-        original = ["checkpoint", 1]
-        duplicate = ["checkpoint", 1]
-        key = store.put(original)
-        # Same content, same blob, same key — the store already holds
-        # the original, so the duplicate object is NOT retained...
-        assert store.put(duplicate) == key
-        assert store.get(key) is original
-        # ...and must therefore not be memoized by id: once collected,
-        # its id can belong to a brand-new object.
-        assert id(duplicate) not in store._key_by_id
-        assert id(original) in store._key_by_id
-
-    def test_id_reuse_after_gc_resolves_to_fresh_key(self):
-        """Force the historical collision: a dropped duplicate's id is
-        recycled for a different checkpoint, whose put() must produce
-        its own content key, not the stale one."""
-        store = CheckpointStore()
-        original = ["checkpoint", 1]
-        stale_key = store.put(original)
-        duplicate = ["checkpoint", 1]
-        store.put(duplicate)
-        reused_id = id(duplicate)
-        del duplicate
-        gc.collect()
-        # CPython freelists usually hand the freed id straight back to
-        # the next same-shaped allocation; retry a few times to be sure.
-        for attempt in range(64):
-            newcomer = ["checkpoint", 2, attempt]
-            if id(newcomer) == reused_id:
-                fresh_key = store.put(newcomer)
-                assert fresh_key != stale_key
-                assert store.get(fresh_key) is newcomer
-                break
-            del newcomer
-        # Even when the allocator never reused the id, the memo
-        # invariant above already guarantees no stale resolution.
-        assert store.get(stale_key) is original
-
-    def test_repeated_put_of_retained_object_pickles_once(self):
-        store = CheckpointStore()
-        obj = {"base": 7}
-        key = store.put(obj)
-        assert store.put(obj) == key
-        assert store._key_by_id[id(obj)] == key
 
 
 class TestRedzoneFree:

@@ -164,6 +164,21 @@ class TestCliTriage:
         assert main(["triage", str(intake)]) == 0
         assert "SYZ-04" in capsys.readouterr().out
 
+    def test_emitted_leak_artifact_reproduces(self, capsys, tmp_path):
+        """SYZ-09 fails with a thread-less memory leak; its emitted
+        artifact must carry the leak's location through intake, so
+        triage reproduces it and finds the direct diagnosis's chain."""
+        intake = tmp_path / "reports"
+        out_json = tmp_path / "triage.json"
+        assert main(["triage", "--corpus", "--bugs", "SYZ-09",
+                     "--emit", str(intake)]) == 0
+        capsys.readouterr()
+        assert main(["triage", str(intake), "--json", str(out_json)]) == 0
+        result, = json.loads(out_json.read_text())["results"]
+        assert result["reproduced"] is True
+        assert result["chain"] == \
+            api.diagnose("SYZ-09").chain.render()
+
     def test_requires_intake_or_corpus(self, capsys):
         assert main(["triage"]) == 2
         assert "intake directory or --corpus" in capsys.readouterr().err
