@@ -33,7 +33,7 @@ from conftest import emit, emit_json
 from repro.analysis.tables import Table
 from repro.corpus import registry
 from repro.engine.engine import ScheduleExecutionEngine
-from repro.engine.protocol import EnginePolicy, RunRequest
+from repro.engine.protocol import RunRequest
 from repro.hypervisor.controller import ScheduleController
 from repro.hypervisor.snapshot import CheckpointPolicy, boot_checkpoint
 
@@ -115,8 +115,8 @@ def _measure_replay(bugs):
     the same schedule."""
     work = []
     for bug in bugs:
-        engine = ScheduleExecutionEngine(
-            bug.machine_factory, policy=EnginePolicy(use_snapshots=True))
+        engine = ScheduleExecutionEngine(bug.machine_factory,
+                                         use_snapshots=True)
         schedule = bug.known_failing_schedule
         fresh = ScheduleController(bug.machine_factory(), schedule).run()
         first = eng_run = engine.run(

@@ -33,7 +33,6 @@ from typing import List, Optional, Sequence, Union
 from repro.core.causality import CaConfig
 from repro.core.diagnose import Aitia, Diagnosis
 from repro.core.lifs import LifsConfig
-from repro.engine import EnginePolicy
 from repro.hypervisor.manager import DEFAULT_VM_COUNT
 
 #: The triage facade's report type (the service's summary, re-exported
@@ -63,8 +62,8 @@ def diagnose(bug_or_id: BugLike, *,
              ca: Optional[CaConfig] = None,
              cost_model=None,
              vm_count: int = DEFAULT_VM_COUNT,
-             snapshots: Optional[bool] = None,
-             policy: Optional[str] = None,
+             snapshots: bool = True,
+             policy: str = "static",
              experience=None,
              tracer=None) -> Diagnosis:
     """Diagnose one kernel concurrency failure.
@@ -85,9 +84,10 @@ def diagnose(bug_or_id: BugLike, *,
     (:class:`~repro.policy.ExperienceIndex`) of prior diagnoses and
     flip candidates ruled out by error invariants are pruned.  Results
     are bit-identical whatever the settings; only the ``snapshot.*`` /
-    ``ca.snapshot_*`` / ``policy.*`` accounting differs.  Both are
-    ignored when an explicit ``lifs`` / ``ca`` config carries its own
-    ``use_snapshots`` / ``policy``.  The diagnosis runs in this process;
+    ``ca.snapshot_*`` / ``policy.*`` accounting differs.  Both only
+    build the stage configs that are not given: an explicit ``lifs`` /
+    ``ca`` config is used as is, with its own ``use_snapshots`` /
+    ``policy``.  The diagnosis runs in this process;
     :func:`evaluate` and :func:`triage` fan diagnoses out across worker
     processes with ``jobs``.
     """
@@ -95,14 +95,10 @@ def diagnose(bug_or_id: BugLike, *,
     if report is None and pipeline:
         from repro.trace.syzkaller import run_bug_finder
         report = run_bug_finder(bug)
-    resolved = EnginePolicy.resolve(snapshots=snapshots,
-                                    search_policy=policy)
     if lifs is None:
-        lifs = LifsConfig(use_snapshots=resolved.use_snapshots,
-                          policy=resolved.search_policy)
+        lifs = LifsConfig(use_snapshots=snapshots, policy=policy)
     if ca is None:
-        ca = CaConfig(use_snapshots=resolved.use_snapshots,
-                      policy=resolved.search_policy)
+        ca = CaConfig(use_snapshots=snapshots, policy=policy)
     return Aitia(bug, report=report, lifs_config=lifs, ca_config=ca,
                  cost_model=cost_model, vm_count=vm_count,
                  tracer=tracer, experience=experience).diagnose()
@@ -112,8 +108,8 @@ def evaluate(bugs: Optional[Sequence[BugLike]] = None, *,
              pipeline: bool = False,
              jobs: int = 1,
              timeout_s: float = 600.0,
-             snapshots: Optional[bool] = None,
-             policy: Optional[str] = None,
+             snapshots: bool = True,
+             policy: str = "static",
              tracer=None):
     """Run the paper's evaluation over a bug set (default: all 22).
 
@@ -127,14 +123,13 @@ def evaluate(bugs: Optional[Sequence[BugLike]] = None, *,
     """
     from repro.analysis.evaluation import evaluate_corpus
 
-    engine = EnginePolicy.resolve(snapshots=snapshots, search_policy=policy)
     resolved = None
     if bugs is not None:
         resolved = [_resolve_bug(b) for b in bugs]
     return evaluate_corpus(resolved, pipeline=pipeline, jobs=jobs,
                            timeout_s=timeout_s,
-                           snapshots=engine.use_snapshots,
-                           policy=engine.search_policy, tracer=tracer)
+                           snapshots=snapshots, policy=policy,
+                           tracer=tracer)
 
 
 def _triage_sources(spec: TriageSource) -> List[Union[str, object]]:
@@ -160,7 +155,7 @@ def triage(paths_or_corpus: TriageSource = "corpus", *,
            store=None,
            pipeline: bool = False,
            timeout_s: Optional[float] = None,
-           policy: Optional[str] = None,
+           policy: str = "static",
            tracer=None,
            service=None) -> TriageReport:
     """Run the crash-triage service over intake directories and/or bugs.
@@ -181,12 +176,11 @@ def triage(paths_or_corpus: TriageSource = "corpus", *,
     if service is None:
         if isinstance(store, (str, os.PathLike)):
             store = ResultStore(os.fspath(store))
-        engine = EnginePolicy.resolve(search_policy=policy)
         service = TriageService(
             jobs=jobs, store=store,
             timeout_s=DEFAULT_JOB_TIMEOUT_S if timeout_s is None
             else timeout_s,
-            policy=engine.search_policy,
+            policy=policy,
             tracer=tracer)
     for source in _triage_sources(paths_or_corpus):
         if isinstance(source, (str, os.PathLike)):

@@ -43,8 +43,8 @@ from repro.kernel.failures import Failure, FailureKind
 from repro.kernel.machine import KernelMachine
 from repro.observe.tracer import as_tracer
 
-from repro.engine import (LIFS_COUNTER_NAMES, EnginePolicy, RunPlan,
-                          RunRequest, ScheduleExecutionEngine)
+from repro.engine import (LIFS_COUNTER_NAMES, RunPlan, RunRequest,
+                          ScheduleExecutionEngine)
 from repro.policy import (CandidateMeta, PolicyContext,
                           lifs_candidate_features)
 
@@ -97,20 +97,6 @@ class LifsConfig:
     #: bit-identical with the engine on or off (the ``--no-snapshot``
     #: ablation); only ``snapshot.*`` accounting differs.
     use_snapshots: bool = True
-    #: Capture a checkpoint every N executed instructions (besides the boot
-    #: checkpoint and one at every preemption fire).
-    snapshot_interval: int = 8
-    #: Per-run cap on captured checkpoints.
-    max_checkpoints_per_run: int = 64
-    #: Cap on memoized run continuations (suffix splicing); each entry
-    #: pins its donor run for the duration of the search.
-    max_continuations: int = 65536
-    #: Debugging aid: dedup on the full nested Mazurkiewicz signature
-    #: tuples instead of the stable 64-bit digest.
-    full_signatures: bool = False
-    #: Retain full ``RunResult``s for ``sample_runs`` instead of the
-    #: lightweight summaries that are replayed on demand.
-    keep_full_runs: bool = False
     #: Which :mod:`repro.policy` search policy shapes frontier-extension
     #: batches (``--policy``): ``"static"`` (the canonical lazy
     #: front-to-back order, the default) or ``"adaptive"``
@@ -194,9 +180,8 @@ class LifsResult:
     def sample_runs(self) -> List[RunResult]:
         """Full ``RunResult``s for the retained schedules.
 
-        Replayed on demand (execution is deterministic, so the replay is
-        exact) and cached; with ``LifsConfig.keep_full_runs`` the search
-        hands over the original runs instead.
+        Replayed on demand from the run summaries (execution is
+        deterministic, so the replay is exact) and cached.
         """
         if self._materialized is None:
             if self._replayer is None:
@@ -278,16 +263,16 @@ class LeastInterleavingFirstSearch:
         self.tracer = as_tracer(tracer)
         self.stats = SearchStats()
         self._knowledge = _Knowledge()
-        self._signatures: Set = set()
+        self._signatures: Set[int] = set()
         self._tried_schedules: Set[Tuple] = set()
         self._run_summaries: List[RunSummary] = []
-        self._kept_runs: List[RunResult] = []
         # All execution placement (snapshot resume/splice, coverage
         # pinning) lives in the engine; the search only decides *which*
         # schedules to run and in what order.
         self.engine = ScheduleExecutionEngine(
-            machine_factory, EnginePolicy.for_lifs(self.config),
-            tracer=self.tracer, experience=experience)
+            machine_factory, use_snapshots=self.config.use_snapshots,
+            search_policy=self.config.policy, tracer=self.tracer,
+            experience=experience)
 
     # ------------------------------------------------------------------
     def search(self) -> LifsResult:
@@ -553,20 +538,17 @@ class LeastInterleavingFirstSearch:
             self.stats.per_round_executed.get(round_index, 0) + 1)
         self._knowledge.absorb(run)
         digest = run.signature_hash()
-        key = run.signature() if self.config.full_signatures else digest
-        duplicate = key in self._signatures
+        duplicate = digest in self._signatures
         if duplicate:
             self.stats.equivalent_runs += 1
             self.stats.per_round_equivalent[round_index] = (
                 self.stats.per_round_equivalent.get(round_index, 0) + 1)
         else:
-            self._signatures.add(key)
+            self._signatures.add(digest)
         if len(self._run_summaries) < self.config.keep_runs:
             self._run_summaries.append(RunSummary(
                 schedule=schedule, failure=run.failure, steps=run.steps,
                 interleavings=run.interleavings, signature_hash=digest))
-            if self.config.keep_full_runs:
-                self._kept_runs.append(run)
         return duplicate
 
     def _replay(self, schedule: Schedule) -> RunResult:
@@ -641,15 +623,11 @@ class LeastInterleavingFirstSearch:
             reproduced=True, failure_run=run, races=races, stats=self.stats,
             interleaving_count=run.interleavings,
             run_summaries=list(self._run_summaries),
-            _replayer=self._replay,
-            _materialized=(list(self._kept_runs)
-                           if self.config.keep_full_runs else None))
+            _replayer=self._replay)
 
     def _give_up(self) -> LifsResult:
         return LifsResult(
             reproduced=False, failure_run=None, races=RaceSet(),
             stats=self.stats,
             run_summaries=list(self._run_summaries),
-            _replayer=self._replay,
-            _materialized=(list(self._kept_runs)
-                           if self.config.keep_full_runs else None))
+            _replayer=self._replay)

@@ -4,16 +4,15 @@ One run service between "algorithm wants runs" and "hypervisor
 interprets instructions".  LIFS and Causality Analysis emit
 :class:`RunRequest`/:class:`RunPlan` values and consume
 :class:`RunOutcome`\\ s; the :class:`ScheduleExecutionEngine` decides
-*how* each schedule executes — inline fresh boots or snapshot
-resume/splice on a vehicle machine — under one :class:`EnginePolicy`
-resolved from algorithm configs, api keywords and CLI flags.  A
-diagnosis always runs in one process; parallelism lives across
-diagnoses, on the resident worker fleet.  See docs/ARCHITECTURE.md.
+*how* each schedule executes — snapshot resume/splice on a vehicle
+machine, or a fresh boot per request when the caller's
+``use_snapshots`` is off or a coverage-instrumented machine pins
+snapshots off.  A diagnosis always runs in one process; parallelism
+lives across diagnoses, on the resident worker fleet.  See
+docs/ARCHITECTURE.md.
 
-* :mod:`repro.engine.protocol`  — the request/plan/outcome vocabulary,
-  :class:`EnginePolicy` resolution and :class:`EngineStats`;
-* :mod:`repro.engine.backends`  — the backends
-  (:class:`InlineBackend`, :class:`SnapshotBackend`);
+* :mod:`repro.engine.protocol`  — the request/plan/outcome vocabulary
+  and :class:`EngineStats`;
 * :mod:`repro.engine.executors` — the one process-dispatch front door
   (:func:`make_executor`: :class:`JobExecutor` fans triage/evaluation
   jobs out across processes);
@@ -21,13 +20,11 @@ diagnoses, on the resident worker fleet.  See docs/ARCHITECTURE.md.
 * :mod:`repro.engine.engine`    — the engine itself.
 """
 
-from repro.engine.backends import InlineBackend, SnapshotBackend
 from repro.engine.engine import ScheduleExecutionEngine
 from repro.engine.executors import JobExecutor, make_executor
 from repro.engine.protocol import (
     CA_COUNTER_NAMES,
     LIFS_COUNTER_NAMES,
-    EnginePolicy,
     EngineStats,
     RunOutcome,
     RunPlan,
@@ -37,14 +34,11 @@ from repro.engine.protocol import (
 __all__ = [
     "CA_COUNTER_NAMES",
     "LIFS_COUNTER_NAMES",
-    "EnginePolicy",
     "EngineStats",
-    "InlineBackend",
     "JobExecutor",
     "RunOutcome",
     "RunPlan",
     "RunRequest",
     "ScheduleExecutionEngine",
-    "SnapshotBackend",
     "make_executor",
 ]

@@ -1,12 +1,13 @@
 """The schedule-execution engine: one run service for every algorithm.
 
 :class:`ScheduleExecutionEngine` owns everything between "algorithm
-wants runs" and "hypervisor interprets instructions": backend selection
-(inline / snapshot) under one :class:`EnginePolicy`, coverage pinning,
-the unified snapshot accounting, and the single place that publishes
-the ``snapshot.*`` / ``ca.snapshot_*`` / ``engine.*`` counters.  A
-diagnosis always executes in this one process; parallelism lives across
-diagnoses (:func:`repro.engine.executors.make_executor`).
+wants runs" and "hypervisor interprets instructions": snapshot resume
+and suffix splicing on one vehicle machine (or a fresh boot per request
+when snapshots are off), coverage pinning, the unified snapshot
+accounting, and the single place that publishes the ``snapshot.*`` /
+``ca.snapshot_*`` / ``engine.*`` counters.  A diagnosis always executes
+in this one process; parallelism lives across diagnoses
+(:func:`repro.engine.executors.make_executor`).
 
 Algorithms (LIFS, Causality Analysis) stay pure: they emit
 :class:`RunRequest`/:class:`RunPlan` values and consume
@@ -15,8 +16,8 @@ or ``CheckpointPolicy`` directly.
 
 Invariants the engine maintains (and the equivalence tests assert):
 
-* **Bit identity** — for any request, every backend produces the same
-  ``RunResult`` bits; policies change placement and accounting only.
+* **Bit identity** — a request produces the same ``RunResult`` bits
+  with snapshots on or off; only placement and accounting differ.
 * **Coverage pinning** — the first boot of a machine with a kcov
   callback permanently demotes snapshots: coverage callbacks must fire
   over every instruction.
@@ -29,11 +30,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Mapping, Optional
 
+from repro.hypervisor.controller import (ContinuationCache,
+                                         ScheduleController, SpliceSession)
+from repro.hypervisor.snapshot import (CheckpointPolicy, RunCheckpoint,
+                                       boot_checkpoint)
 from repro.observe.tracer import as_tracer
 
-from repro.engine.backends import InlineBackend, SnapshotBackend
-from repro.engine.protocol import (EnginePolicy, EngineStats, RunOutcome,
-                                   RunPlan, RunRequest)
+from repro.engine.protocol import EngineStats, RunOutcome, RunPlan, RunRequest
 from repro.policy import make_policy
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -48,61 +51,106 @@ class ScheduleExecutionEngine:
     An engine is built per algorithm instance (one for a LIFS search,
     one for a Causality Analysis) so its stats and continuation memo
     describe exactly that consumer's work.
+
+    With ``use_snapshots`` every request runs on one vehicle machine,
+    restored in place from a prefix or boot checkpoint and spliced onto
+    memoized continuations.  The vehicle and its boot checkpoint are
+    adopted either eagerly (:meth:`prime`, the CA pattern) or lazily from
+    the first fresh boot (the LIFS pattern).  Without snapshots — or once
+    a coverage-instrumented machine demotes them — each request boots a
+    fresh machine.
     """
 
-    def __init__(self, machine_factory: "Callable[[], KernelMachine]",
-                 policy: Optional[EnginePolicy] = None,
+    def __init__(self, machine_factory: "Callable[[], KernelMachine]", *,
+                 use_snapshots: bool = True, search_policy: str = "static",
                  tracer=None, experience=None) -> None:
         self.machine_factory = machine_factory
-        self.policy = policy or EnginePolicy()
         self.tracer = as_tracer(tracer)
         self.stats = EngineStats()
         #: The search policy shaping candidate plans (repro.policy).
         #: ``experience`` is the caller's ExperienceIndex — shared
         #: across diagnoses by triage/daemon workers so ranking improves
         #: over the corpus and over uptime.
-        self.search_policy = make_policy(self.policy.search_policy,
+        self.search_policy = make_policy(search_policy,
                                          experience=experience)
-        self.inline_backend = InlineBackend(self)
-        self.snapshot_backend = SnapshotBackend(self)
+        #: Whether runs resume from checkpoints; permanently demoted by
+        #: a coverage-instrumented or halted boot.
+        self.snapshots_active = bool(use_snapshots)
+        self.vehicle: Optional["KernelMachine"] = None
+        self.boot_checkpoint: Optional[RunCheckpoint] = None
+        self.continuations = ContinuationCache()
 
     # -- machine knowledge ---------------------------------------------
-    @property
-    def snapshots_active(self) -> bool:
-        """Whether runs currently resume from checkpoints (policy said
-        so and no coverage machine has demoted the backend)."""
-        return self.snapshot_backend.active
-
-    def note_coverage(self, machine: "KernelMachine") -> None:
-        """Record what a boot revealed about the machine factory.
-
-        A coverage callback means every instruction must be interpreted:
-        snapshots (prefix skipping) are permanently pinned off.
-        """
+    def _boot(self) -> "KernelMachine":
+        """Boot a fresh machine and record what it reveals: a coverage
+        callback means every instruction must be interpreted, so
+        snapshots (prefix skipping) are permanently pinned off."""
+        machine = self.machine_factory()
         if machine.coverage_cb is not None:
-            self.snapshot_backend.active = False
+            self.snapshots_active = False
+        return machine
 
     def prime(self) -> "KernelMachine":
-        """Eagerly boot one machine and, when the policy allows, adopt
-        it as the snapshot vehicle (the Causality Analysis pattern —
-        CA needs a booted image up front anyway).  Returns the machine;
-        a halted or coverage-instrumented boot demotes snapshots."""
-        machine = self.machine_factory()
-        self.note_coverage(machine)
-        snapshot = self.snapshot_backend
-        if snapshot.active and not machine.halted:
-            snapshot.adopt(machine)
+        """Eagerly boot one machine and, when snapshots are on, adopt it
+        as the snapshot vehicle (the Causality Analysis pattern — CA
+        needs a booted image up front anyway).  Returns the machine; a
+        halted or coverage-instrumented boot demotes snapshots."""
+        machine = self._boot()
+        if self.snapshots_active and not machine.halted:
+            self.vehicle = machine
+            self.boot_checkpoint = boot_checkpoint(machine)
         else:
-            snapshot.active = False
+            self.snapshots_active = False
         return machine
 
     # -- execution ------------------------------------------------------
     def run(self, request: RunRequest) -> RunOutcome:
-        """Execute one request through the snapshot/inline machinery."""
-        if self.snapshot_backend.active:
-            outcome = self.snapshot_backend.run(request)
+        """Execute one request: resume the vehicle from the request's
+        prefix checkpoint or the boot checkpoint when snapshots are on,
+        else boot fresh (and, with snapshots on, adopt that boot as the
+        vehicle)."""
+        active = self.snapshots_active
+        resume: Optional[RunCheckpoint] = None
+        if active:
+            resume = (request.resume_from if request.resume_from is not None
+                      else self.boot_checkpoint)
+        if resume is not None:
+            machine = self.vehicle
         else:
-            outcome = self.inline_backend.run(request)
+            # A coverage machine revealed by this boot demotes snapshots
+            # before the run, so it neither splices nor becomes the
+            # vehicle.
+            machine = self._boot()
+            if self.snapshots_active:
+                self.vehicle = machine
+        session: Optional[SpliceSession] = None
+        checkpoint_policy: Optional[CheckpointPolicy] = None
+        if self.snapshots_active:
+            session = self.continuations.session()
+            if request.capture_checkpoints:
+                checkpoint_policy = CheckpointPolicy()
+        controller = ScheduleController(
+            machine, request.schedule, watch_races=request.watch_races,
+            tracer=self.tracer, resume_from=resume,
+            checkpoint_policy=checkpoint_policy,
+            splice_probe=session.probe if session else None)
+        run = controller.run()
+        if session is not None:
+            session.donate(run)
+        if self.snapshots_active and self.boot_checkpoint is None:
+            # Harvest the run-entry capture as the boot checkpoint that
+            # replaces per-schedule reboots from here on.
+            for ckpt in controller.checkpoints:
+                if ckpt.steps == 0 and not ckpt.fired:
+                    self.boot_checkpoint = ckpt
+                    break
+        outcome = RunOutcome(
+            run=run, checkpoints=tuple(controller.checkpoints),
+            resumed=resume is not None,
+            prefix_steps=resume.steps if resume is not None else 0,
+            setup_steps=machine.setup_steps,
+            spliced_steps=controller.spliced_steps,
+            backend="snapshot" if active else "inline")
         self._account(outcome)
         return outcome
 
@@ -110,9 +158,11 @@ class ScheduleExecutionEngine:
         """Execute a batch sequentially; outcomes come back in
         submission order."""
         self.stats.plans += 1
-        self._trace_plan(plan, self.snapshot_backend.name
-                         if self.snapshot_backend.active
-                         else self.inline_backend.name)
+        if self.tracer.enabled and plan.requests:
+            self.tracer.point(
+                "engine.plan", stage="engine", phase=plan.phase,
+                backend="snapshot" if self.snapshots_active else "inline",
+                requests=len(plan.requests))
         return [self.run(request) for request in plan.requests]
 
     def shape_plan(self, plan: RunPlan, context=None):
@@ -136,7 +186,7 @@ class ScheduleExecutionEngine:
     def _account(self, outcome: RunOutcome) -> None:
         """Fold one outcome into the engine stats.
 
-        One formula covers every backend: ``suffix = steps - prefix -
+        One formula covers every run: ``suffix = steps - prefix -
         spliced`` is what the interpreter actually executed for a
         resumed run; a fresh boot additionally interprets its setup.
         """
@@ -160,12 +210,6 @@ class ScheduleExecutionEngine:
             stats.splices += 1
             stats.spliced_steps += outcome.spliced_steps
         stats.checkpoints_captured += len(outcome.checkpoints)
-
-    def _trace_plan(self, plan: RunPlan, backend: str) -> None:
-        if self.tracer.enabled and plan.requests:
-            self.tracer.point("engine.plan", stage="engine",
-                              phase=plan.phase, backend=backend,
-                              requests=len(plan.requests))
 
     def emit_counters(self, names: Mapping[str, str]) -> None:
         """Publish the engine accounting as trace counters.

@@ -165,7 +165,7 @@ class ContinuationCache:
     fresh interpretation.
     """
 
-    def __init__(self, max_entries: int) -> None:
+    def __init__(self, max_entries: int = 65536) -> None:
         #: key -> (donor run, horizon seq, donor controller steps there)
         self.entries: Dict[Tuple, Tuple[RunResult, int, int]] = {}
         self.max_entries = max_entries

@@ -64,23 +64,23 @@ def diagnose_job(payload: dict) -> dict:
         report = None
     else:
         raise ValueError(f"unknown triage mode {mode!r}")
-    from repro.engine import EnginePolicy
     from repro.policy import ExperienceIndex
 
     # Payloads journaled by older daemons may carry extra engine keys
-    # (a per-diagnosis wave width, an executor name); only the search
-    # policy still shapes a diagnosis, so anything else is ignored.
-    policy = EnginePolicy.resolve(search_policy=payload.get("policy"))
+    # (a per-diagnosis wave width, an executor name) or no policy at
+    # all; only the search policy still shapes a diagnosis, so anything
+    # else is ignored.
+    policy = payload.get("policy") or "static"
     experience = None
-    if policy.search_policy != "static":
+    if policy != "static":
         # Rebuild the submitter's experience index from the payload
         # snapshot (empty priors otherwise) — the adaptive policy ranks
         # candidates against it inside this worker.
         experience = ExperienceIndex.from_snapshot(payload.get("experience"))
     diagnosis = Aitia(
         bug, report=report,
-        lifs_config=LifsConfig(policy=policy.search_policy),
-        ca_config=CaConfig(policy=policy.search_policy),
+        lifs_config=LifsConfig(policy=policy),
+        ca_config=CaConfig(policy=policy),
         experience=experience).diagnose()
     row = summarize_diagnosis(bug, diagnosis)
     result = {"bug_id": bug.bug_id, "mode": mode, "row": asdict(row)}

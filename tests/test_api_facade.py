@@ -163,3 +163,70 @@ class TestUnifiedCliFlags:
     def test_trace_report_missing_file(self, capsys):
         assert main(["trace-report", "/nonexistent/t.jsonl"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestEngineKnobs:
+    """``snapshots`` / ``policy`` reach the engine through the stage
+    configs: api keywords build the configs that are not given, and the
+    CLI passes its flags straight through."""
+
+    def test_explicit_config_wins_over_snapshots_kwarg(self):
+        from repro.core.lifs import LifsConfig
+
+        on = api.diagnose("SYZ-05", snapshots=True)
+        assert on.lifs_result.stats.snapshot_hits > 0
+        off = api.diagnose("SYZ-05", snapshots=True,
+                           lifs=LifsConfig(use_snapshots=False))
+        assert off.lifs_result.stats.snapshot_hits == 0
+        assert off.chain.render() == on.chain.render()
+
+    def test_defaults_are_snapshots_on_and_static(self):
+        import inspect
+
+        for func in (api.diagnose, api.evaluate):
+            params = inspect.signature(func).parameters
+            assert params["snapshots"].default is True
+            assert params["policy"].default == "static"
+        assert inspect.signature(api.triage).parameters[
+            "policy"].default == "static"
+        parser = build_parser()
+        for argv in (["diagnose", "SYZ-05"], ["evaluate"]):
+            args = parser.parse_args(argv)
+            assert args.no_snapshot is False
+            assert args.policy == "static"
+        for argv in (["triage", "--corpus"], ["serve"]):
+            assert parser.parse_args(argv).policy == "static"
+
+    @pytest.mark.parametrize("flags,expected", [
+        ([], "static"), (["--policy", "adaptive"], "adaptive")])
+    def test_serve_passes_policy(self, monkeypatch, flags, expected):
+        import repro.daemon.lifecycle as lifecycle
+
+        seen = []
+        monkeypatch.setattr(lifecycle, "run_daemon",
+                            lambda config: seen.append(config) or 0)
+        assert main(["serve", "--port", "0"] + flags) == 0
+        assert seen[0].policy == expected
+
+    @pytest.mark.parametrize("flags,expected", [
+        ([], "static"), (["--policy", "adaptive"], "adaptive")])
+    def test_triage_passes_policy(self, monkeypatch, capsys, flags,
+                                  expected):
+        import repro.service.triage as triage_module
+
+        seen = []
+
+        class RecordingService:
+            def __init__(self, **kwargs):
+                seen.append(kwargs)
+
+        class EmptySummary:
+            empty = True
+
+        monkeypatch.setattr(triage_module, "TriageService",
+                            RecordingService)
+        monkeypatch.setattr(api, "triage",
+                            lambda *args, **kwargs: EmptySummary())
+        assert main(["triage", "--corpus", "--bugs", "SYZ-05"]
+                    + flags) == 0
+        assert seen[0]["policy"] == expected

@@ -1,19 +1,20 @@
-"""The execution engine's core contract: every backend combination
-returns bit-identical runs, and policy resolution respects the
-config > api kwarg > CLI flag precedence."""
+"""The execution engine's core contract: runs are bit-identical with
+snapshots on or off, and a coverage-instrumented machine pins every run
+to a fresh boot."""
 
-import dataclasses
 import pathlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.causality import CaConfig
-from repro.core.lifs import LifsConfig
+from repro.core.causality import CaConfig, CausalityAnalysis
+from repro.core.lifs import LeastInterleavingFirstSearch, LifsConfig
 from repro.core.schedule import Preemption, Schedule
-from repro.engine import (EnginePolicy, RunPlan, RunRequest,
-                          ScheduleExecutionEngine)
+from repro.engine import RunPlan, RunRequest, ScheduleExecutionEngine
+from repro.hypervisor.controller import ScheduleController
+from repro.kernel.kcov import Kcov
+from repro.kernel.machine import KernelMachine, ThreadSpec
 
 from helpers import fig2_image, fig2_machine, two_counter_machine
 
@@ -21,11 +22,8 @@ IMAGE = fig2_image()
 A_LABELS = ["A2", "A5", "A6", "A12"]
 B_LABELS = ["B2", "B11", "B12", "B17a"]
 
-#: Every backend composition the engine can select.
-POLICIES = {
-    "inline": EnginePolicy(use_snapshots=False),
-    "snapshot": EnginePolicy(use_snapshots=True),
-}
+#: Every engine mode: fresh boots, and snapshot resume/splice.
+MODES = {"inline": False, "snapshot": True}
 
 
 def _run_facts(outcome):
@@ -58,14 +56,15 @@ class TestBackendEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_every_backend_returns_identical_outcomes(
             self, preempts_a, preempts_b, start_first):
-        """One plan of random schedules, executed through every backend
-        composition, yields the same runs bit for bit — placement and
-        accounting are the only things a policy may change."""
+        """One plan of random schedules, executed with snapshots on and
+        off, yields the same runs bit for bit — placement and accounting
+        are the only things the mode may change."""
         schedules = [_schedule(preempts_a, start_first, "p1"),
                      _schedule(preempts_b, not start_first, "p2")]
         results = {}
-        for name, policy in POLICIES.items():
-            engine = ScheduleExecutionEngine(fig2_machine, policy)
+        for name, snapshots in MODES.items():
+            engine = ScheduleExecutionEngine(fig2_machine,
+                                             use_snapshots=snapshots)
             outcomes = engine.run_plan(RunPlan(
                 [RunRequest(schedule=s, capture_checkpoints=True)
                  for s in schedules], phase="equivalence"))
@@ -77,9 +76,11 @@ class TestBackendEquivalence:
     def test_single_requests_match_plans(self):
         """run() and run_plan() agree for the same schedules."""
         schedule = _schedule([("A6", "B"), ("B12", None)], True, "s")
-        for policy in POLICIES.values():
-            run_engine = ScheduleExecutionEngine(fig2_machine, policy)
-            plan_engine = ScheduleExecutionEngine(fig2_machine, policy)
+        for snapshots in MODES.values():
+            run_engine = ScheduleExecutionEngine(fig2_machine,
+                                                 use_snapshots=snapshots)
+            plan_engine = ScheduleExecutionEngine(fig2_machine,
+                                                  use_snapshots=snapshots)
             via_run = run_engine.run(RunRequest(schedule=schedule))
             via_plan = plan_engine.run_plan(
                 RunPlan([RunRequest(schedule=schedule)]))[0]
@@ -89,7 +90,7 @@ class TestBackendEquivalence:
         """Two identical requests execute twice: CA's edge recheck
         depends on the engine never reusing an earlier result."""
         schedule = _schedule([("A6", None)], True, "x")
-        engine = ScheduleExecutionEngine(fig2_machine, EnginePolicy())
+        engine = ScheduleExecutionEngine(fig2_machine)
         first = engine.run(RunRequest(schedule=schedule))
         second = engine.run(RunRequest(schedule=schedule))
         assert second is not first
@@ -97,13 +98,14 @@ class TestBackendEquivalence:
         assert engine.stats.requests == 2
 
     def test_benign_program_equivalence(self):
-        """The counter-bumping model (no failure) agrees across backends
+        """The counter-bumping model (no failure) agrees across modes
         too — equivalence is not an artifact of the crash path."""
         schedules = [Schedule(start_order=("A", "B")),
                      Schedule(start_order=("B", "A"))]
         baseline = None
-        for policy in POLICIES.values():
-            engine = ScheduleExecutionEngine(two_counter_machine, policy)
+        for snapshots in MODES.values():
+            engine = ScheduleExecutionEngine(two_counter_machine,
+                                             use_snapshots=snapshots)
             facts = [_run_facts(o) for o in engine.run_plan(
                 RunPlan([RunRequest(schedule=s) for s in schedules]))]
             if baseline is None:
@@ -111,62 +113,111 @@ class TestBackendEquivalence:
             assert facts == baseline
 
 
-class TestEnginePolicyResolution:
-    def test_defaults(self):
-        policy = EnginePolicy.resolve()
-        assert policy.use_snapshots is True
-        assert policy.search_policy == "static"
+def _kcov_factory(kcovs):
+    """A Figure 2 machine factory whose every boot carries its own kcov
+    callback, appended to ``kcovs`` in boot order."""
+    def factory():
+        image = fig2_image()
+        kcov = Kcov(image)
+        kcovs.append(kcov)
+        return KernelMachine(
+            image,
+            [ThreadSpec("A", "fanout_add"),
+             ThreadSpec("B", "packet_do_bind")],
+            globals_init={"po_running": 1, "po_fanout": 0,
+                          "global_list": ()},
+            coverage_cb=kcov)
+    return factory
 
-    def test_policy_has_no_parallel_knobs(self):
-        """A diagnosis always runs in one process: the policy carries
-        backend and search settings only, no wave width or executor."""
-        assert [f.name for f in dataclasses.fields(EnginePolicy)] == [
-            "use_snapshots", "snapshot_interval",
-            "max_checkpoints_per_run", "max_continuations",
-            "search_policy"]
 
-    def test_cli_flags_beat_defaults(self):
-        policy = EnginePolicy.resolve(cli_snapshots=False,
-                                      cli_search_policy="adaptive")
-        assert policy.use_snapshots is False
-        assert policy.search_policy == "adaptive"
+def _blocks(kcov):
+    return {thread: kcov.covered_blocks(thread) for thread in ("A", "B")}
 
-    def test_api_kwargs_beat_cli_flags(self):
-        policy = EnginePolicy.resolve(snapshots=True, search_policy="static",
-                                      cli_snapshots=False,
-                                      cli_search_policy="adaptive")
-        assert policy.use_snapshots is True
-        assert policy.search_policy == "static"
 
-    def test_config_beats_everything(self):
-        config = LifsConfig(use_snapshots=False, policy="adaptive")
-        policy = EnginePolicy.resolve(config=config, snapshots=True,
-                                      search_policy="static",
-                                      cli_snapshots=True,
-                                      cli_search_policy="static")
-        assert policy.use_snapshots is False
-        assert policy.search_policy == "adaptive"
+class TestCoveragePinning:
+    """A kcov callback must fire over every instruction of every run, so
+    a coverage-instrumented machine demotes snapshots for good even when
+    the engine was built with ``use_snapshots=True``."""
 
-    def test_unset_tiers_fall_through(self):
-        policy = EnginePolicy.resolve(snapshots=None, search_policy=None,
-                                      cli_snapshots=None,
-                                      cli_search_policy="adaptive")
-        assert policy.use_snapshots is True
-        assert policy.search_policy == "adaptive"
+    SCHEDULES = [_schedule([], True, "ab"),
+                 _schedule([("A6", "B")], True, "a6"),
+                 _schedule([], False, "ba"),
+                 _schedule([("B12", None)], False, "b12")]
 
-    def test_config_carries_tuning_knobs(self):
-        config = LifsConfig(snapshot_interval=4, max_checkpoints_per_run=16,
-                            max_continuations=128)
-        policy = EnginePolicy.for_lifs(config)
-        assert policy.snapshot_interval == 4
-        assert policy.max_checkpoints_per_run == 16
-        assert policy.max_continuations == 128
+    def _reference(self, schedule):
+        kcovs = []
+        ScheduleController(_kcov_factory(kcovs)(), schedule).run()
+        return _blocks(kcovs[0])
 
-    def test_ca_config_resolves_too(self):
-        policy = EnginePolicy.for_ca(CaConfig(use_snapshots=False,
-                                              policy="adaptive"))
-        assert policy.use_snapshots is False
-        assert policy.search_policy == "adaptive"
+    def _run_all(self, engine):
+        return [engine.run(RunRequest(schedule=s, capture_checkpoints=True))
+                for s in self.SCHEDULES]
+
+    def _assert_fresh_and_covered(self, outcomes, kcovs):
+        assert len(kcovs) == len(self.SCHEDULES)
+        for outcome, kcov, schedule in zip(outcomes, kcovs, self.SCHEDULES):
+            assert outcome.resumed is False
+            assert outcome.prefix_steps == 0
+            assert outcome.spliced_steps == 0
+            assert outcome.checkpoints == ()
+            blocks = _blocks(kcov)
+            assert blocks["A"] and blocks["B"]
+            assert blocks == self._reference(schedule)
+
+    def test_lazy_path_boots_every_run(self):
+        """LIFS pattern: the first run's boot reveals kcov.  That request
+        started with snapshots on, so it is labelled ``snapshot``, but it
+        neither resumes nor captures; every later run is ``inline``."""
+        kcovs = []
+        engine = ScheduleExecutionEngine(_kcov_factory(kcovs),
+                                         use_snapshots=True)
+        outcomes = self._run_all(engine)
+        assert not engine.snapshots_active
+        assert [o.backend for o in outcomes[1:]] == ["inline"] * 3
+        self._assert_fresh_and_covered(outcomes, kcovs)
+        assert engine.stats.snapshot_hits == 0
+        assert engine.stats.splices == 0
+
+    def test_eager_path_boots_every_run(self):
+        """CA pattern: ``prime()`` sees kcov before any run, so every
+        outcome is ``inline``."""
+        kcovs = []
+        engine = ScheduleExecutionEngine(_kcov_factory(kcovs),
+                                         use_snapshots=True)
+        engine.prime()
+        assert not engine.snapshots_active
+        primed = kcovs.pop(0)
+        assert _blocks(primed) == {"A": [], "B": []}
+        outcomes = self._run_all(engine)
+        assert [o.backend for o in outcomes] == ["inline"] * 4
+        self._assert_fresh_and_covered(outcomes, kcovs)
+        assert engine.stats.backend_requests == {"inline": 4}
+
+
+class TestConfigsReachTheEngine:
+    """LIFS and CA build their engine from their own config's
+    ``use_snapshots`` and ``policy``: an explicit config is the only
+    place those two settings come from."""
+
+    CONFIG = dict(use_snapshots=False, policy="adaptive")
+
+    def _assert_engine(self, engine):
+        assert engine.snapshots_active is False
+        assert engine.search_policy.name == "prune+adaptive-noprune"
+
+    def test_lifs_config(self):
+        lifs = LeastInterleavingFirstSearch(
+            fig2_machine, ["A", "B"], config=LifsConfig(**self.CONFIG))
+        self._assert_engine(lifs.engine)
+
+    def test_ca_config(self):
+        result = LeastInterleavingFirstSearch(fig2_machine,
+                                              ["A", "B"]).search()
+        ca = CausalityAnalysis(fig2_machine, result,
+                               config=CaConfig(**self.CONFIG))
+        self._assert_engine(ca.engine)
+        assert ca.analyze().chain is not None
+        assert ca.engine.stats.snapshot_hits == 0
 
 
 class TestAlgorithmPurity:
