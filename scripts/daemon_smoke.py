@@ -4,8 +4,11 @@ Starts the daemon as a subprocess on an ephemeral port, submits three
 corpus ``.crash`` artifacts (two unique, one duplicate of the first
 *after* it completed), polls each to completion, asserts exactly one
 cache hit through ``GET /metrics``, and shuts the daemon down cleanly
-with SIGTERM.  Exits non-zero on any failed expectation, so a CI step
-is just::
+with SIGTERM.  It then restarts the daemon on the same data directory,
+resubmits the first artifact (a cache hit from the cold result file,
+since the hot tier starts empty), checks that the directory holds one
+journal file and one result file, and stops it again.  Exits non-zero
+on any failed expectation, so a CI step is just::
 
     PYTHONPATH=src python scripts/daemon_smoke.py
 
@@ -56,27 +59,49 @@ def wait_for_job(port, job_id, timeout_s=120):
     raise AssertionError(f"job {job_id} never completed")
 
 
+def start(data_dir, port_file):
+    """Boot ``repro serve`` on an ephemeral port; ``(process, port)``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--data-dir", data_dir, "--port-file", port_file], env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while not os.path.exists(port_file):
+            assert daemon.poll() is None, "daemon died during boot"
+            assert time.monotonic() < deadline, "no port file"
+            time.sleep(0.05)
+    except BaseException:
+        kill(daemon)
+        raise
+    port = int(open(port_file).read().strip().rsplit(":", 1)[1])
+    print(f"smoke: daemon up on port {port}")
+    return daemon, port
+
+
+def kill(daemon):
+    if daemon.poll() is None:
+        daemon.kill()
+        daemon.wait(timeout=30)
+
+
+def stop(daemon):
+    daemon.send_signal(signal.SIGTERM)
+    code = daemon.wait(timeout=60)
+    assert code == 0, f"daemon exited {code} on SIGTERM"
+    print("smoke: clean shutdown")
+
+
 def main() -> int:
     artifacts = [
         CrashArtifact.from_report(run_bug_finder(get_bug(b))).render()
         for b in BUGS]
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     with tempfile.TemporaryDirectory() as workdir:
-        port_file = os.path.join(workdir, "port")
-        daemon = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--data-dir", os.path.join(workdir, "data"),
-             "--port-file", port_file], env=env)
+        data_dir = os.path.join(workdir, "data")
+        daemon, port = start(data_dir, os.path.join(workdir, "port"))
         try:
-            deadline = time.monotonic() + 60
-            while not os.path.exists(port_file):
-                assert daemon.poll() is None, "daemon died during boot"
-                assert time.monotonic() < deadline, "no port file"
-                time.sleep(0.05)
-            port = int(open(port_file).read().strip().rsplit(":", 1)[1])
-            print(f"smoke: daemon up on port {port}")
 
             # Submit the two unique artifacts and wait them out.
             for text, bug in zip(artifacts, BUGS):
@@ -110,15 +135,31 @@ def main() -> int:
             print("smoke: metrics reconcile "
                   "(3 submissions = 2 accepted + 1 cache hit)")
         except BaseException:
-            if daemon.poll() is None:
-                daemon.kill()
-                daemon.wait(timeout=30)
+            kill(daemon)
             raise
+        stop(daemon)
 
-        daemon.send_signal(signal.SIGTERM)
-        code = daemon.wait(timeout=60)
-        assert code == 0, f"daemon exited {code} on SIGTERM"
-        print("smoke: clean shutdown")
+        # Restart on the same data directory: the result persisted.
+        daemon, port = start(data_dir, os.path.join(workdir, "port2"))
+        try:
+            status, body = request(port, "POST", "/submit",
+                                   artifacts[0].encode())
+            payload = json.loads(body)
+            assert status == 200 and payload["status"] == "cache_hit", (
+                status, payload)
+            assert payload["tier"] == "cold", payload
+            print("smoke: after restart, answered from the cold tier")
+            store = os.listdir(os.path.join(data_dir, "store"))
+            queue = os.listdir(os.path.join(data_dir, "queue"))
+            assert [f for f in store if f.endswith(".jsonl")] == [
+                "results.jsonl"], store
+            assert [f for f in queue if f.endswith(".journal")] == [
+                "queue.journal"], queue
+            print("smoke: one result file, one journal file")
+        except BaseException:
+            kill(daemon)
+            raise
+        stop(daemon)
     return 0
 
 

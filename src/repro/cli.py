@@ -138,7 +138,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         print(f"[bug finder] history of {len(report.history)} events")
     tracer = _open_tracer(args)
     try:
-        diagnosis = api.diagnose(bug, report=report, vm_count=args.vms,
+        diagnosis = api.diagnose(bug, report=report,
                                  snapshots=not args.no_snapshot,
                                  policy=args.policy, tracer=tracer)
     finally:
@@ -246,9 +246,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = DaemonConfig(
         host=args.host, port=args.port, data_dir=args.data_dir,
         jobs=args.jobs, timeout_s=args.timeout, policy=args.policy,
-        hot_capacity=args.hot_capacity, max_depth=args.max_depth,
-        store_shards=args.store_shards, queue_shards=args.queue_shards,
-        batch_size=args.batch_size,
+        max_depth=args.max_depth, batch_size=args.batch_size,
         tenant_policy=TenantPolicy(rate=args.rate, burst=args.burst,
                                    max_queued=args.tenant_max_queued),
         paused=args.paused, diagnoser=args.diagnoser,
@@ -362,9 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "engine (snapshot/resume + suffix splicing); "
                                "results are bit-identical, only snapshot.* "
                                "accounting differs")
-    diagnose.add_argument("--vms", type=int, default=32,
-                          help="VM pool size for the parallel-time "
-                               "estimate (default 32)")
     diagnose.set_defaults(func=_cmd_diagnose)
 
     rep = sub.add_parser("replay",
@@ -420,16 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080,
                        help="TCP port (0: ephemeral; see --port-file)")
     serve.add_argument("--data-dir", default="daemon-data", metavar="DIR",
-                       help="queue journal + cold store shards live here "
-                            "(default ./daemon-data)")
-    serve.add_argument("--hot-capacity", type=int, default=1024,
-                       metavar="N",
-                       help="hot-tier LRU capacity in records "
-                            "(default 1024)")
-    serve.add_argument("--store-shards", type=int, default=8, metavar="N",
-                       help="cold-tier JSONL shard count (default 8)")
-    serve.add_argument("--queue-shards", type=int, default=4, metavar="N",
-                       help="queue journal shard count (default 4)")
+                       help="the queue journal (queue/queue.journal) and "
+                            "the result file (store/results.jsonl) live "
+                            "here (default ./daemon-data)")
     serve.add_argument("--max-depth", type=int, default=256, metavar="N",
                        help="bounded queue depth; submissions past it "
                             "are shed with HTTP 429 (default 256)")

@@ -35,7 +35,6 @@ from repro.core.lifs import (
     LifsConfig,
     LifsResult,
 )
-from repro.hypervisor.manager import DEFAULT_VM_COUNT
 from repro.observe.tracer import as_tracer
 from repro.policy import ExperienceIndex
 
@@ -52,11 +51,10 @@ class Diagnosis:
     slice_used: Optional[object] = None
     slices_tried: int = 0
     #: LIFS schedules spent on slices that failed to reproduce (the
-    #: reproducers the manager runs in parallel before one wins).
+    #: reproducers the paper's VM manager runs in parallel before one wins).
     rejected_slice_schedules: int = 0
     lifs_cost: Optional[StageCost] = None
     ca_cost: Optional[StageCost] = None
-    vm_count: int = DEFAULT_VM_COUNT
 
     @property
     def interleaving_count(self) -> int:
@@ -113,7 +111,6 @@ class Aitia:
         lifs_config: Optional[LifsConfig] = None,
         ca_config: Optional[CaConfig] = None,
         cost_model: Optional[CostModel] = None,
-        vm_count: int = DEFAULT_VM_COUNT,
         tracer=None,
         experience: Optional[ExperienceIndex] = None,
     ) -> None:
@@ -122,7 +119,6 @@ class Aitia:
         self.lifs_config = lifs_config
         self.ca_config = ca_config
         self.cost_model = cost_model or CostModel()
-        self.vm_count = vm_count
         self.tracer = as_tracer(tracer)
         #: Cross-diagnosis experience index driving the adaptive search
         #: policy.  ``None`` means no priors and no learning; when given,
@@ -171,7 +167,7 @@ class Aitia:
         if not lifs_result.reproduced:
             return Diagnosis(bug_id=self.workload.bug_id, reproduced=False,
                              chain=None, lifs_result=lifs_result,
-                             ca_result=None, vm_count=self.vm_count)
+                             ca_result=None)
         return self._run_ca(factory, lifs_result, slice_used=None,
                             slices_tried=0)
 
@@ -206,7 +202,7 @@ class Aitia:
             rejected_schedules += lifs_result.stats.schedules_executed
         return Diagnosis(bug_id=self.workload.bug_id, reproduced=False,
                          chain=None, lifs_result=last_result, ca_result=None,
-                         slices_tried=tried, vm_count=self.vm_count,
+                         slices_tried=tried,
                          rejected_slice_schedules=rejected_schedules)
 
     def _run_ca(self, factory: Callable, lifs_result: LifsResult,
@@ -228,5 +224,4 @@ class Aitia:
             bug_id=self.workload.bug_id, reproduced=True,
             chain=ca_result.chain, lifs_result=lifs_result,
             ca_result=ca_result, slice_used=slice_used,
-            slices_tried=slices_tried, lifs_cost=lifs_cost, ca_cost=ca_cost,
-            vm_count=self.vm_count)
+            slices_tried=slices_tried, lifs_cost=lifs_cost, ca_cost=ca_cost)

@@ -11,10 +11,10 @@ The layer sits *above* ``repro.service`` and reuses its vocabulary
 
 * :mod:`repro.daemon.protocol` — minimal HTTP/1.1 over asyncio
   streams (no third-party deps);
-* :mod:`repro.daemon.tiers` — hot in-memory LRU over cold sharded
-  JSONL result stores;
-* :mod:`repro.daemon.queue` — the persistent, sharded, bounded work
-  queue with its recovery journal;
+* :mod:`repro.daemon.tiers` — hot in-memory LRU over one cold JSONL
+  result file;
+* :mod:`repro.daemon.queue` — the persistent, bounded work queue with
+  its one-file recovery journal;
 * :mod:`repro.daemon.tenants` — per-tenant token buckets and quotas;
 * :mod:`repro.daemon.server` — routing, dedup, admission, the drain
   loop, and the ``/metrics`` exposition;
@@ -25,8 +25,11 @@ The layer sits *above* ``repro.service`` and reuses its vocabulary
 * :mod:`repro.daemon.client` — the matching asyncio client the tests,
   load benchmark and CI smoke script submit through.
 
-See ``docs/SERVICE.md`` for the HTTP protocol, tenancy model, journal
-format and tier layout.
+The daemon's state is two files under its data directory: the queue
+journal ``queue/queue.journal`` and the cold result file
+``store/results.jsonl``.  See ``docs/SERVICE.md`` for the HTTP
+protocol, tenancy model, journal format, tier layout and how older
+sharded data directories migrate.
 """
 
 from repro.daemon.client import DaemonClient
@@ -34,7 +37,7 @@ from repro.daemon.lifecycle import DaemonConfig, run_daemon, start_daemon
 from repro.daemon.queue import JournaledWorkQueue
 from repro.daemon.server import DaemonMetrics, TriageDaemon
 from repro.daemon.tenants import TenantPolicy, TenantTable, TokenBucket
-from repro.daemon.tiers import HotTier, ShardedColdStore, TieredStore
+from repro.daemon.tiers import HotTier, TieredStore
 from repro.daemon.worker import resolve_diagnoser, stub_diagnose_job
 
 __all__ = [
@@ -43,7 +46,6 @@ __all__ = [
     "DaemonMetrics",
     "HotTier",
     "JournaledWorkQueue",
-    "ShardedColdStore",
     "TenantPolicy",
     "TenantTable",
     "TieredStore",

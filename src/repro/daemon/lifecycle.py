@@ -24,21 +24,25 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from repro.service.queue import RetryPolicy
-from repro.daemon.queue import DEFAULT_MAX_DEPTH, DEFAULT_QUEUE_SHARDS
+from repro.daemon.queue import DEFAULT_MAX_DEPTH
 from repro.daemon.server import TriageDaemon
 from repro.daemon.tenants import TenantPolicy
-from repro.daemon.tiers import DEFAULT_HOT_CAPACITY, DEFAULT_STORE_SHARDS
 from repro.daemon import protocol
 
 
 @dataclass
 class DaemonConfig:
-    """Everything ``repro serve`` can be told."""
+    """Everything ``repro serve`` can be told.
+
+    The daemon keeps its state in two files under :attr:`data_dir`:
+    :attr:`queue_dir` holds the journal and :attr:`store_path` is the
+    cold result file behind the fixed-size hot LRU.
+    """
 
     host: str = "127.0.0.1"
     port: int = 8080
-    #: Data directory; the queue journal and the cold store shards live
-    #: in ``queue/`` and ``store/`` under it.
+    #: Data directory: the queue journal is ``queue/queue.journal``
+    #: and the cold result file ``store/results.jsonl`` under it.
     data_dir: str = "daemon-data"
     jobs: int = 1              #: worker processes for the drain pool
     #: Search policy per diagnosis (``"static"`` / ``"adaptive"``); with
@@ -46,9 +50,6 @@ class DaemonConfig:
     #: cold store and ships a snapshot in every job payload.
     policy: str = "static"
     timeout_s: float = 300.0   #: per-job diagnosis timeout
-    hot_capacity: int = DEFAULT_HOT_CAPACITY
-    store_shards: int = DEFAULT_STORE_SHARDS
-    queue_shards: int = DEFAULT_QUEUE_SHARDS
     max_depth: Optional[int] = DEFAULT_MAX_DEPTH
     batch_size: int = 4        #: jobs per drain batch
     poll_interval_s: float = 0.05
@@ -72,8 +73,8 @@ class DaemonConfig:
         return os.path.join(self.data_dir, "queue")
 
     @property
-    def store_dir(self) -> str:
-        return os.path.join(self.data_dir, "store")
+    def store_path(self) -> str:
+        return os.path.join(self.data_dir, "store", "results.jsonl")
 
 
 async def start_daemon(config: DaemonConfig) -> TriageDaemon:

@@ -1,25 +1,31 @@
-"""The persistent sharded work queue behind the intake daemon.
+"""The persistent work queue behind the intake daemon.
 
 Accepted work must survive a daemon restart — including a hard kill —
 so every accepted job is journaled *before* its HTTP 202 goes out, and
 every completion is journaled after its result is persisted to the
-store.  The journal is JSONL, sharded by signature digest
-(:func:`~repro.service.signature.shard_index`) into
-``queue-<NN>.journal`` files under the data directory:
+store.  The journal is one JSONL file, ``queue.journal``, under the
+queue directory:
 
 * ``{"op": "push", "job_id": ..., "digest": ..., "priority": ...,
   "timeout_s": ..., "tenant": ..., "payload": {...}}``
 * ``{"op": "done", "job_id": ..., "outcome": ...}``
 
-Recovery replays each shard: a ``push`` without a matching ``done`` is
-a journaled job the daemon owes an answer for and is re-enqueued
-exactly once (in original priority/FIFO order); a completed job is
-dropped.  The drain loop re-checks the result store before
-re-diagnosing, so a job that finished-but-wasn't-marked (killed
+Recovery replays the journal in file order: a ``push`` without a
+matching ``done`` is a journaled job the daemon owes an answer for and
+is re-enqueued exactly once, then the survivors are stably sorted by
+priority, so FIFO within a priority holds across a restart; a
+completed job is dropped.  The drain loop re-checks the result store
+before re-diagnosing, so a job that finished-but-wasn't-marked (killed
 between the store append and the ``done`` record) is answered from
-cache rather than re-run.  Replay also compacts: each shard is
-rewritten holding only the still-pending pushes, so the journal's size
-is bounded by queue depth, not by lifetime throughput.
+cache rather than re-run.  Replay also compacts: the journal is
+rewritten holding only the still-pending pushes, so its size is
+bounded by queue depth, not by lifetime throughput.
+
+Data directories written before the journal was one file hold
+``queue-<NN>.journal`` files instead.  Opening the queue replays those
+first (deduplicated by ``job_id``), writes the jobs still owed to
+``queue.journal`` and then removes the old files; a crash in between
+is safe to re-run.
 
 Writes are flushed to the OS on every append — a killed *process*
 loses nothing (the page cache survives it); surviving a machine crash
@@ -34,96 +40,81 @@ submission with a 429.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import threading
 from typing import Dict, List, Optional, TextIO
 
 from repro.service.queue import JobQueue, QueueFull, TriageJob
-from repro.service.signature import shard_index
 
-#: Default journal shard count.
-DEFAULT_QUEUE_SHARDS = 4
 #: Default bounded depth (the backpressure threshold).
 DEFAULT_MAX_DEPTH = 256
 
-__all__ = ["JournaledWorkQueue", "QueueFull", "DEFAULT_QUEUE_SHARDS",
-           "DEFAULT_MAX_DEPTH"]
+__all__ = ["JournaledWorkQueue", "QueueFull", "DEFAULT_MAX_DEPTH"]
 
 
 class JournaledWorkQueue:
     """Bounded priority queue whose accepted work survives restart."""
 
     def __init__(self, directory: str,
-                 shards: int = DEFAULT_QUEUE_SHARDS,
                  max_depth: Optional[int] = DEFAULT_MAX_DEPTH) -> None:
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-        self.shards = shards
+        self.path = os.path.join(directory, "queue.journal")
         self._queue = JobQueue(max_depth=max_depth)
         self._lock = threading.Lock()
-        self._writers: Dict[int, TextIO] = {}
+        self._writer: Optional[TextIO] = None
         #: Jobs recovered from the journal at open, already enqueued.
         self.recovered: List[TriageJob] = []
         #: Journal lines that failed to parse at open.
         self.skipped_lines = 0
         self._replay_and_compact()
 
-    # -- journal files --------------------------------------------------
-    def _shard_path(self, shard: int) -> str:
-        return os.path.join(self.directory, f"queue-{shard:02d}.journal")
-
-    def _writer(self, shard: int) -> TextIO:
-        writer = self._writers.get(shard)
-        if writer is None:
-            writer = open(self._shard_path(shard), "a")
-            self._writers[shard] = writer
-        return writer
-
-    def _append(self, shard: int, entry: dict) -> None:
-        writer = self._writer(shard)
-        writer.write(json.dumps(entry, sort_keys=True) + "\n")
-        writer.flush()
-
-    def _shard_of(self, digest: str) -> int:
-        return shard_index(digest, self.shards)
+    # -- the journal file -----------------------------------------------
+    def _append(self, entry: dict) -> None:
+        if self._writer is None:
+            self._writer = open(self.path, "a")
+        self._writer.write(json.dumps(entry, sort_keys=True) + "\n")
+        self._writer.flush()
 
     # -- recovery -------------------------------------------------------
+    def _replay(self, path: str, pushes: Dict[str, dict]) -> None:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    entry = json.loads(line)
+                    op = entry["op"]
+                except (ValueError, KeyError, TypeError):
+                    self.skipped_lines += 1
+                    continue
+                if op == "push" and "job_id" in entry:
+                    pushes[entry["job_id"]] = entry
+                elif op == "done":
+                    pushes.pop(entry.get("job_id"), None)
+
     def _replay_and_compact(self) -> None:
-        pending: List[dict] = []  # push entries, in file order per shard
-        for shard in range(self.shards):
-            path = self._shard_path(shard)
-            if not os.path.exists(path):
-                continue
-            pushes: "Dict[str, dict]" = {}
-            with open(path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                        op = entry["op"]
-                    except (ValueError, KeyError, TypeError):
-                        self.skipped_lines += 1
-                        continue
-                    if op == "push" and "job_id" in entry:
-                        pushes[entry["job_id"]] = entry
-                    elif op == "done":
-                        pushes.pop(entry.get("job_id"), None)
-            survivors = list(pushes.values())
-            # Compact: the shard now holds only what is still owed.
-            tmp = path + ".tmp"
-            with open(tmp, "w") as fh:
-                for entry in survivors:
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            os.replace(tmp, path)
-            pending.extend(survivors)
-        # Priority order first, original acceptance order within it —
-        # the same order JobQueue would have served them in.
-        pending.sort(key=lambda e: e.get("priority", 0))
+        old = sorted(glob.glob(os.path.join(self.directory,
+                                            "queue-*.journal")))
+        pushes: Dict[str, dict] = {}  # job_id -> push, acceptance order
+        for path in old + [self.path]:
+            if os.path.exists(path):
+                self._replay(path, pushes)
+        # Compact: the journal now holds only what is still owed.
+        tmp = self.path + ".tmp"
+        with open(tmp, "w") as fh:
+            for entry in pushes.values():
+                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        os.replace(tmp, self.path)
+        for path in old:
+            os.remove(path)
+        # Priority order first, acceptance order within it (a stable
+        # sort) — the same order JobQueue would have served them in.
+        pending = sorted(pushes.values(),
+                         key=lambda e: e.get("priority", 0))
         for entry in pending:
             job = TriageJob(job_id=entry["job_id"],
                             payload=entry.get("payload", {}),
@@ -145,13 +136,13 @@ class JournaledWorkQueue:
         Raises :class:`QueueFull` (nothing journaled) when the bounded
         depth is reached — the caller sheds the submission.
         """
-        digest = job.payload.get("digest", job.job_id)
         with self._lock:
             if self._queue.full:
                 raise QueueFull(
                     f"queue at bounded depth {self._queue.max_depth}")
-            self._append(self._shard_of(digest), {
-                "op": "push", "job_id": job.job_id, "digest": digest,
+            self._append({
+                "op": "push", "job_id": job.job_id,
+                "digest": job.payload.get("digest", job.job_id),
                 "priority": job.priority, "timeout_s": job.timeout_s,
                 "tenant": tenant, "payload": job.payload})
             self._queue.push(job)
@@ -167,11 +158,9 @@ class JournaledWorkQueue:
     def mark_done(self, job: TriageJob) -> None:
         """Journal a completion (call *after* the result is persisted,
         so a crash in between re-runs rather than loses the job)."""
-        digest = job.payload.get("digest", job.job_id)
         with self._lock:
-            self._append(self._shard_of(digest), {
-                "op": "done", "job_id": job.job_id,
-                "outcome": job.outcome.value})
+            self._append({"op": "done", "job_id": job.job_id,
+                          "outcome": job.outcome.value})
 
     @property
     def depth(self) -> int:
@@ -186,10 +175,10 @@ class JournaledWorkQueue:
 
     def close(self) -> None:
         with self._lock:
-            for writer in self._writers.values():
-                writer.close()
-            self._writers.clear()
+            if self._writer is not None:
+                self._writer.close()
+                self._writer = None
 
     def __repr__(self) -> str:
-        return (f"<JournaledWorkQueue {self.directory}: depth "
-                f"{self.depth}/{self.max_depth}, {self.shards} shard(s)>")
+        return (f"<JournaledWorkQueue {self.path}: depth "
+                f"{self.depth}/{self.max_depth}>")

@@ -77,11 +77,8 @@ class TriageDaemon:
         self.tracer = config.tracer if config.tracer is not None else Tracer()
         self._owns_tracer = config.tracer is None
         self.metrics = DaemonMetrics(tracer=self.tracer)
-        self.store = TieredStore(directory=config.store_dir,
-                                 hot_capacity=config.hot_capacity,
-                                 shards=config.store_shards)
+        self.store = TieredStore(config.store_path)
         self.queue = JournaledWorkQueue(config.queue_dir,
-                                        shards=config.queue_shards,
                                         max_depth=config.max_depth)
         self.tenants = TenantTable(config.tenant_policy)
         #: The daemon's experience index: under ``policy="adaptive"``,

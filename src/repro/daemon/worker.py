@@ -32,9 +32,7 @@ def resolve_diagnoser(spec: Union[None, str, Diagnoser]) -> Diagnoser:
     """A worker callable from a config value.
 
     ``None`` → the real pipeline worker; a callable → itself; a
-    ``"module:function"`` string → that attribute, imported.  The
-    callable must be module-level (worker processes may need to pickle
-    it under the ``spawn`` start method).
+    ``"module:function"`` string → that attribute, imported.
     """
     if spec is None:
         return default_diagnoser()

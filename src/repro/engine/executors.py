@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.engine.fleet import WorkerFleet, fleet_available
 
@@ -49,19 +49,16 @@ class JobExecutor:
     parallel = True
 
     def __init__(self, worker: Callable[[dict], dict], jobs: int = 2,
-                 retry=None, context: Optional[str] = None) -> None:
+                 retry=None) -> None:
         from repro.service.queue import RetryPolicy
 
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if context is None:
-            context = "fork" if fleet_available("fork") else None
         self.worker = worker
         self.jobs = jobs
         self.retry = retry or RetryPolicy()
-        kwargs = {} if context is None else {"context": context}
         self.fleet = WorkerFleet(
-            functools.partial(_call_job_worker, worker), jobs, **kwargs)
+            functools.partial(_call_job_worker, worker), jobs)
 
     def run(self, jobs, on_complete=None):
         """Execute every job to a terminal outcome; returns the same
@@ -163,7 +160,7 @@ class JobExecutor:
 
 # ----------------------------------------------------------------------
 def make_executor(*, worker: Callable[[dict], dict], jobs: int = 1,
-                  retry=None, context: Optional[str] = None):
+                  retry=None):
     """The one front door for process dispatch.
 
     Builds a **job executor** (the triage contract:
@@ -177,6 +174,6 @@ def make_executor(*, worker: Callable[[dict], dict], jobs: int = 1,
     """
     from repro.service.pool import InProcessPool
 
-    if jobs <= 1 or not fleet_available(context or "fork"):
+    if jobs <= 1 or not fleet_available():
         return InProcessPool(worker)
-    return JobExecutor(worker, jobs=jobs, retry=retry, context=context)
+    return JobExecutor(worker, jobs=jobs, retry=retry)

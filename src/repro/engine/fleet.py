@@ -43,15 +43,15 @@ _READY = "__fleet_ready__"
 Runner = Callable[[Any, dict], Any]
 
 
-def fleet_available(context: str = "fork") -> bool:
+def fleet_available() -> bool:
     """Whether a fleet can genuinely fork resident workers here.
 
-    Requires the requested start method (machine factories are closures
+    Requires the ``fork`` start method (machine factories are closures
     and must be fork-inherited, not pickled) and a non-daemonic parent —
     daemonic processes may not have children, so a fleet inside a
     ``--jobs N`` triage worker must degrade instead of crashing.
     """
-    return (context in multiprocessing.get_all_start_methods()
+    return ("fork" in multiprocessing.get_all_start_methods()
             and not multiprocessing.current_process().daemon)
 
 
@@ -150,13 +150,11 @@ class WorkerFleet:
     """A fixed-width fleet of resident fork-server workers."""
 
     def __init__(self, runner: Runner, jobs: int, *,
-                 context: str = "fork",
                  max_respawns: int = 16) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         self.runner = runner
         self.jobs = jobs
-        self.context_name = context
         self.max_respawns = max_respawns
         self.respawns = 0
         self.workers: List[FleetWorker] = []
@@ -170,8 +168,7 @@ class WorkerFleet:
         if self.started:
             return
         self.started = True
-        ctx = multiprocessing.get_context(self.context_name)
-        self._ctx = ctx
+        self._ctx = multiprocessing.get_context("fork")
         for _ in range(self.jobs):
             self._spawn()
 

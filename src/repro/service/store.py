@@ -16,10 +16,11 @@ File-backed stores do **not** hold records in memory.  Opening the
 store scans the file exactly once and builds a digest → (byte offset,
 length) index; a ``get`` seeks straight to its line and parses only
 that record, and an append extends the index without re-reading
-anything.  This is what makes the store usable as the *cold tier* of
-the daemon's two-tier cache (:mod:`repro.daemon.tiers`): the hot LRU
-tier absorbs repeats, and a cold lookup costs one seek + one line, not
-a file scan.
+anything.  This is what makes one store file usable as the *cold
+tier* of the daemon's two-tier cache (:mod:`repro.daemon.tiers`,
+``store/results.jsonl``): the hot LRU tier absorbs repeats, and a cold
+lookup costs one seek + one line, not a file scan, however many
+records the file holds.
 """
 
 from __future__ import annotations

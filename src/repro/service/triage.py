@@ -164,7 +164,6 @@ class TriageService:
                  metrics: Optional[ServiceMetrics] = None,
                  retry: Optional[RetryPolicy] = None,
                  timeout_s: float = DEFAULT_JOB_TIMEOUT_S,
-                 context: Optional[str] = None,
                  policy: str = "static",
                  tracer=None) -> None:
         from repro.observe.tracer import as_tracer
@@ -187,7 +186,6 @@ class TriageService:
             self.metrics.bind_tracer(self.tracer)
         self.retry = retry or RetryPolicy()
         self.timeout_s = timeout_s
-        self._context = context
         self._queue = JobQueue()
         self._by_digest: dict = {}
         self._order: List[TriageJob] = []
@@ -269,7 +267,7 @@ class TriageService:
             if pending:
                 executor = make_executor(
                     worker=diagnose_job, jobs=self.jobs,
-                    retry=self.retry, context=self._context)
+                    retry=self.retry)
                 try:
                     with self.metrics.timer("dispatch"):
                         executor.run(pending, on_complete=self._on_complete)

@@ -28,7 +28,7 @@ def _journal_entries(directory):
 
 class TestPushPop:
     def test_priority_order_across_shards(self, tmp_path):
-        queue = JournaledWorkQueue(str(tmp_path), shards=4)
+        queue = JournaledWorkQueue(str(tmp_path))
         queue.push(_job(1, priority=5))
         queue.push(_job(2, priority=0))
         queue.push(_job(3, priority=5))
@@ -57,12 +57,12 @@ class TestPushPop:
 
 class TestRecovery:
     def test_pending_jobs_survive_reopen(self, tmp_path):
-        queue = JournaledWorkQueue(str(tmp_path), shards=3)
+        queue = JournaledWorkQueue(str(tmp_path))
         for n in range(4):
             queue.push(_job(n), tenant="t")
         queue.close()
 
-        reopened = JournaledWorkQueue(str(tmp_path), shards=3)
+        reopened = JournaledWorkQueue(str(tmp_path))
         assert len(reopened.recovered) == 4
         assert reopened.depth == 4
         ids = {j.job_id for j in reopened.pop_batch(10)}
@@ -82,7 +82,7 @@ class TestRecovery:
         assert [j.job_id for j in reopened.recovered] == [second.job_id]
 
     def test_replay_compacts_the_shards(self, tmp_path):
-        queue = JournaledWorkQueue(str(tmp_path), shards=1)
+        queue = JournaledWorkQueue(str(tmp_path))
         for n in range(10):
             job = _job(n)
             queue.push(job)
@@ -93,7 +93,7 @@ class TestRecovery:
         queue.close()
         assert len(_journal_entries(tmp_path)) == 19  # 10 push + 9 done
 
-        JournaledWorkQueue(str(tmp_path), shards=1).close()
+        JournaledWorkQueue(str(tmp_path)).close()
         # Only the one still-owed push survives compaction.
         entries = _journal_entries(tmp_path)
         assert len(entries) == 1
@@ -125,33 +125,91 @@ class TestRecovery:
             reopened.push(_job(7))
 
     def test_corrupt_journal_lines_are_skipped(self, tmp_path):
-        queue = JournaledWorkQueue(str(tmp_path), shards=1)
+        queue = JournaledWorkQueue(str(tmp_path))
         queue.push(_job(1))
         queue.close()
-        path = os.path.join(str(tmp_path), "queue-00.journal")
+        path = os.path.join(str(tmp_path), "queue.journal")
         with open(path, "a") as fh:
             fh.write("not json\n")
             fh.write('{"no": "op"}\n')
             fh.write('{"op": "push", "job_id": "ok:0000000000000002", '
                      '"digest": "0000000000000002", "payload": {}}\n')
 
-        reopened = JournaledWorkQueue(str(tmp_path), shards=1)
+        reopened = JournaledWorkQueue(str(tmp_path))
         assert reopened.skipped_lines == 2  # bad JSON + missing "op"
         assert len(reopened.recovered) == 2
 
-    def test_shard_files_are_stable_for_a_digest(self, tmp_path):
-        queue = JournaledWorkQueue(str(tmp_path), shards=4)
-        job = _job(7)
-        queue.push(job)
+    def test_recovery_keeps_acceptance_order_within_a_priority(
+            self, tmp_path):
+        # Digests whose prefixes are not in acceptance order: replay
+        # must not reorder equal-priority jobs by digest.
+        digests = ["0003" + "0" * 12, "0000" + "0" * 12, "0002" + "0" * 12]
+        queue = JournaledWorkQueue(str(tmp_path))
+        jobs = [TriageJob(job_id=f"J{n}:{d}", payload={"digest": d})
+                for n, d in enumerate(digests)]
+        for job in jobs:
+            queue.push(job)
         queue.close()
-        before = {name for name in os.listdir(tmp_path)
-                  if os.path.getsize(os.path.join(tmp_path, name))}
 
-        reopened = JournaledWorkQueue(str(tmp_path), shards=4)
-        reopened.pop_batch(1)
-        job.outcome = JobOutcome.SUCCEEDED
-        reopened.mark_done(job)
-        reopened.close()
-        after = {name for name in os.listdir(tmp_path)
-                 if "done" in open(os.path.join(tmp_path, name)).read()}
-        assert after == before  # push and done landed in the same shard
+        reopened = JournaledWorkQueue(str(tmp_path))
+        expected = [job.job_id for job in jobs]
+        assert [j.job_id for j in reopened.recovered] == expected
+        assert [j.job_id for j in reopened.pop_batch(10)] == expected
+
+    def test_journal_is_one_file(self, tmp_path):
+        queue = JournaledWorkQueue(str(tmp_path))
+        for n in range(8):
+            queue.push(_job(n))
+        queue.close()
+        JournaledWorkQueue(str(tmp_path)).close()
+        assert os.listdir(tmp_path) == ["queue.journal"]
+
+
+def _write_journal(path, entries):
+    with open(path, "w") as fh:
+        for entry in entries:
+            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+
+
+def _push(job):
+    return {"op": "push", "job_id": job.job_id,
+            "digest": job.payload["digest"], "priority": job.priority,
+            "timeout_s": job.timeout_s, "tenant": "t",
+            "payload": job.payload}
+
+
+class TestOldShardLayout:
+    """Directories written when the journal was sharded into
+    ``queue-<NN>.journal`` files migrate into ``queue.journal``."""
+
+    def test_old_shards_replay_and_are_removed(self, tmp_path):
+        done = {"op": "done", "job_id": _job(2).job_id,
+                "outcome": "succeeded"}
+        _write_journal(tmp_path / "queue-00.journal",
+                       [_push(_job(1)), _push(_job(2)), done])
+        _write_journal(tmp_path / "queue-03.journal", [_push(_job(3))])
+
+        queue = JournaledWorkQueue(str(tmp_path))
+        assert [j.job_id for j in queue.recovered] == [
+            _job(1).job_id, _job(3).job_id]
+        queue.close()
+        assert os.listdir(tmp_path) == ["queue.journal"]
+        assert len(_journal_entries(tmp_path)) == 2
+        assert len(JournaledWorkQueue(str(tmp_path)).recovered) == 2
+
+    def test_interrupted_migration_recovers_each_job_once(self, tmp_path):
+        # A crash after queue.journal was written but before the old
+        # file was removed: the job is in both, and in queue.journal
+        # it was since marked done.
+        job = _job(4)
+        _write_journal(tmp_path / "queue-01.journal", [_push(job)])
+        _write_journal(tmp_path / "queue.journal", [_push(job)])
+        assert [j.job_id for j in
+                JournaledWorkQueue(str(tmp_path)).recovered] == [job.job_id]
+
+        _write_journal(tmp_path / "queue-01.journal", [_push(job)])
+        _write_journal(tmp_path / "queue.journal", [
+            _push(job),
+            {"op": "done", "job_id": job.job_id, "outcome": "succeeded"}])
+        assert JournaledWorkQueue(str(tmp_path)).recovered == []
+        assert os.listdir(tmp_path) == ["queue.journal"]

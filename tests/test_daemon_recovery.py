@@ -20,10 +20,9 @@ import time
 import pytest
 
 from repro.corpus.registry import get_bug
-from repro.daemon.queue import DEFAULT_QUEUE_SHARDS
 from repro.observe.export import parse_exposition
 from repro.service.artifacts import CrashArtifact
-from repro.service.signature import shard_index, signature_of_text
+from repro.service.signature import signature_of_text
 from repro.service.triage import diagnose_job
 from repro.trace.syzkaller import run_bug_finder
 
@@ -200,11 +199,10 @@ def test_journal_with_removed_engine_keys_replays_once(launch, tmp_path):
     legacy = dict(payload, wave_jobs=2, executor="fleet")
     queue_dir = tmp_path / "data" / "queue"
     queue_dir.mkdir(parents=True)
-    shard = shard_index(digest, DEFAULT_QUEUE_SHARDS)
     entry = {"op": "push", "job_id": job_id, "digest": digest,
              "priority": 0, "timeout_s": 300.0, "tenant": "default",
              "payload": legacy}
-    (queue_dir / f"queue-{shard:02d}.journal").write_text(
+    (queue_dir / "queue-00.journal").write_text(
         json.dumps(entry, sort_keys=True) + "\n")
 
     daemon = launch(diagnoser=None)

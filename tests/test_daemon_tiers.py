@@ -1,16 +1,19 @@
-"""Tests for the two-tier result store (hot LRU over cold shards)."""
+"""Tests for the two-tier result store (hot LRU over one cold file)."""
 
 import os
 
 import pytest
 
-from repro.daemon.tiers import HotTier, ShardedColdStore, TieredStore
-from repro.service.signature import shard_index
+from repro.daemon.tiers import HotTier, TieredStore
+from repro.service.store import ResultStore
 
 
 def _digest(n: int) -> str:
-    # Vary the leading hex chars: shard_index shards by digest prefix.
     return f"{n:04x}" + "0" * 12
+
+
+def _path(tmp_path) -> str:
+    return str(tmp_path / "results.jsonl")
 
 
 class TestHotTier:
@@ -42,44 +45,15 @@ class TestHotTier:
             HotTier(capacity=0)
 
 
-class TestShardedColdStore:
-    def test_round_trip_and_shard_layout(self, tmp_path):
-        cold = ShardedColdStore(str(tmp_path), shards=4)
-        for n in range(16):
-            cold.put(_digest(n), {"n": n})
-        assert len(cold) == 16
-        assert cold.get(_digest(3)) == {"n": 3}
-        assert set(cold.digests()) == {_digest(n) for n in range(16)}
-        files = [f for f in os.listdir(tmp_path) if f.endswith(".jsonl")]
-        assert len(files) == 4
-
-    def test_digest_lands_in_stable_shard_across_reopen(self, tmp_path):
-        ShardedColdStore(str(tmp_path), shards=8).put(_digest(5), {"v": 1})
-        reopened = ShardedColdStore(str(tmp_path), shards=8)
-        assert reopened.get(_digest(5)) == {"v": 1}
-        shard = shard_index(_digest(5), 8)
-        path = os.path.join(str(tmp_path), f"shard-{shard:02d}.jsonl")
-        assert os.path.getsize(path) > 0
-
-    def test_compact_and_close(self, tmp_path):
-        cold = ShardedColdStore(str(tmp_path), shards=2)
-        for _ in range(3):
-            cold.put(_digest(1), {"v": 1})
-        cold.compact()
-        cold.close()
-        assert ShardedColdStore(str(tmp_path), shards=2).get(
-            _digest(1)) == {"v": 1}
-
-
 class TestTieredStore:
     def test_miss_then_cold_then_hot(self, tmp_path):
-        store = TieredStore(directory=str(tmp_path), hot_capacity=8)
+        store = TieredStore(_path(tmp_path), hot_capacity=8)
         assert store.lookup(_digest(1)) == (None, "")
         store.put(_digest(1), {"v": 1})
 
         # A fresh store over the same directory: first lookup is cold
         # (and promotes), the second is hot.
-        fresh = TieredStore(directory=str(tmp_path), hot_capacity=8)
+        fresh = TieredStore(_path(tmp_path), hot_capacity=8)
         record, tier = fresh.lookup(_digest(1))
         assert (record, tier) == ({"v": 1}, "cold")
         record, tier = fresh.lookup(_digest(1))
@@ -87,27 +61,21 @@ class TestTieredStore:
         assert fresh.cold_hits == 1
 
     def test_put_is_visible_in_both_tiers(self, tmp_path):
-        store = TieredStore(directory=str(tmp_path))
+        store = TieredStore(_path(tmp_path))
         store.put(_digest(2), {"v": 2})
         assert store.lookup(_digest(2))[1] == "hot"
         assert store.cold.get(_digest(2)) == {"v": 2}  # durably cold too
 
     def test_eviction_falls_back_to_cold(self, tmp_path):
-        store = TieredStore(directory=str(tmp_path), hot_capacity=2)
+        store = TieredStore(_path(tmp_path), hot_capacity=2)
         for n in range(5):
             store.put(_digest(n), {"n": n})
         # Oldest digests were evicted from the hot tier but still hit.
         record, tier = store.lookup(_digest(0))
         assert (record, tier) == ({"n": 0}, "cold")
 
-    def test_memory_only_without_directory(self):
-        store = TieredStore()
-        store.put("d", {"v": 1})
-        assert store.get("d") == {"v": 1}
-        assert "d" in store
-
     def test_stats_shape(self, tmp_path):
-        store = TieredStore(directory=str(tmp_path), hot_capacity=2)
+        store = TieredStore(_path(tmp_path), hot_capacity=2)
         store.put(_digest(1), {})
         store.get(_digest(1))
         store.get("missing")
@@ -115,3 +83,45 @@ class TestTieredStore:
         assert stats["hot_hits"] == 1
         assert stats["cold_size"] == 1
         assert stats["lookups"] == stats["hot_hits"] + stats["hot_misses"]
+
+    def test_one_cold_file(self, tmp_path):
+        store = TieredStore(_path(tmp_path))
+        for n in range(16):
+            store.put(_digest(n), {"n": n})
+        store.close()
+        assert os.listdir(tmp_path) == ["results.jsonl"]
+        reopened = TieredStore(_path(tmp_path))
+        assert len(reopened) == 16
+        assert reopened.get(_digest(3)) == {"n": 3}
+
+
+class TestOldShardLayout:
+    """Directories written when the cold tier was sharded into
+    ``shard-<NN>.jsonl`` files are folded into ``results.jsonl``."""
+
+    def _old_shard(self, tmp_path, shard, records):
+        old = ResultStore(str(tmp_path / f"shard-{shard:02d}.jsonl"))
+        for digest, record in records.items():
+            old.put(digest, record)
+        old.close()
+
+    def test_old_shards_are_absorbed_and_removed(self, tmp_path):
+        self._old_shard(tmp_path, 0, {_digest(0): {"n": 0}})
+        self._old_shard(tmp_path, 5, {_digest(5): {"n": 5},
+                                      "exp:" + _digest(5): {"w": 1}})
+        store = TieredStore(_path(tmp_path))
+        assert os.listdir(tmp_path) == ["results.jsonl"]
+        assert len(store) == 3
+        assert store.lookup(_digest(5)) == ({"n": 5}, "cold")
+        assert dict(store.records())["exp:" + _digest(5)] == {"w": 1}
+
+    def test_record_already_in_results_wins(self, tmp_path):
+        # An interrupted migration left the old file behind after the
+        # record was copied; a newer put then superseded the copy.
+        self._old_shard(tmp_path, 1, {_digest(1): {"v": "old"},
+                                      _digest(2): {"v": 2}})
+        ResultStore(_path(tmp_path)).put(_digest(1), {"v": "new"})
+        store = TieredStore(_path(tmp_path))
+        assert store.get(_digest(1)) == {"v": "new"}
+        assert store.get(_digest(2)) == {"v": 2}
+        assert not os.path.exists(tmp_path / "shard-01.jsonl")
