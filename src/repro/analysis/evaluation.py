@@ -157,17 +157,17 @@ def _evaluate_worker(payload: dict) -> dict:
 def evaluate_corpus(bugs: Optional[Sequence["Bug"]] = None,
                     pipeline: bool = False,
                     jobs: int = 1,
-                    timeout_s: float = 600.0,
                     snapshots: bool = True,
                     policy: str = "static",
                     tracer=None) -> CorpusEvaluation:
     """Evaluate a bug set (default: the paper's 22 evaluated bugs).
 
-    With ``jobs > 1`` the rows are computed by the triage service's
-    worker pool — one process per bug, ``jobs`` at a time — and are
+    With ``jobs > 1`` the bugs are diagnosed on the triage service's
+    job pool of ``jobs`` resident worker processes, and the rows are
     bit-identical to the sequential rows (the simulator is
-    deterministic).  A bug whose worker fails for any reason falls back
-    to in-process evaluation, so the result is always complete.
+    deterministic).  Jobs run without a deadline, as they do at
+    ``jobs=1``.  A bug whose worker is lost falls back to in-process
+    evaluation, so the result is always complete.
 
     ``tracer`` records per-diagnosis spans in-process; with ``jobs >
     1`` the diagnoses happen in worker processes, so the trace carries
@@ -200,14 +200,14 @@ def evaluate_corpus(bugs: Optional[Sequence["Bug"]] = None,
                                     experience=experience, tracer=tracer)
                       for bug in bugs])
 
-    from repro.engine.executors import make_executor
+    from repro.service.pool import make_executor
     from repro.service.queue import JobOutcome, TriageJob
 
     triage_jobs = [
         TriageJob(job_id=bug.bug_id,
                   payload={"bug_id": bug.bug_id, "pipeline": pipeline,
                            "snapshots": snapshots, "policy": policy},
-                  timeout_s=timeout_s)
+                  timeout_s=None)
         for bug in bugs
     ]
     with tracer.span("evaluate", stage="evaluate",

@@ -105,7 +105,6 @@ def diagnose(bug_or_id: BugLike, *,
 def evaluate(bugs: Optional[Sequence[BugLike]] = None, *,
              pipeline: bool = False,
              jobs: int = 1,
-             timeout_s: float = 600.0,
              snapshots: bool = True,
              policy: str = "static",
              tracer=None):
@@ -125,7 +124,6 @@ def evaluate(bugs: Optional[Sequence[BugLike]] = None, *,
     if bugs is not None:
         resolved = [_resolve_bug(b) for b in bugs]
     return evaluate_corpus(resolved, pipeline=pipeline, jobs=jobs,
-                           timeout_s=timeout_s,
                            snapshots=snapshots, policy=policy,
                            tracer=tracer)
 

@@ -20,8 +20,8 @@
 Every pipeline subcommand (diagnose / evaluate / triage) routes through
 the :mod:`repro.api` facade and shares one flag vocabulary via parent
 parsers: ``--trace PATH`` (JSONL span/counter trace), ``--jobs N``,
-``--timeout S`` and (triage) ``--store PATH`` are spelled and defaulted
-identically everywhere they appear.
+(triage/serve) ``--timeout S`` and (triage) ``--store PATH`` are spelled
+and defaulted identically everywhere they appear.
 """
 
 from __future__ import annotations
@@ -43,10 +43,11 @@ def _parent_parsers():
     """The shared flag vocabulary, as argparse parent parsers.
 
     ``trace``: --trace for every pipeline subcommand; ``policy``:
-    --policy for everything that diagnoses; ``pool``: --jobs and
-    --timeout for the multi-bug subcommands (--jobs is the one
-    parallelism knob: diagnoses fan out across worker processes, each
-    diagnosis runs in one); ``store``: --store for the triage service.
+    --policy for everything that diagnoses; ``jobs``: --jobs for the
+    multi-bug subcommands (the one parallelism knob: diagnoses fan out
+    across worker processes, each diagnosis runs in one); ``timeout``:
+    --timeout for the triage service and daemon; ``store``: --store for
+    the triage service.
     (The 1.x hidden aliases --workers, --job-timeout and --result-store
     were removed in 2.0.)
     """
@@ -65,20 +66,24 @@ def _parent_parsers():
                              "invariants); diagnoses are bit-identical, "
                              "only policy.* accounting differs")
 
-    pool = argparse.ArgumentParser(add_help=False)
-    pool.add_argument("--jobs", type=int, default=1, metavar="N",
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1, metavar="N",
                       help="diagnose this many bugs at once in worker "
                            "processes (default 1: in-process)")
-    pool.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S,
-                      metavar="S",
-                      help="per-job timeout in seconds (default "
-                           f"{DEFAULT_TIMEOUT_S:.0f})")
+
+    timeout = argparse.ArgumentParser(add_help=False)
+    timeout.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S,
+                         metavar="S",
+                         help="per-job timeout in seconds (default "
+                              f"{DEFAULT_TIMEOUT_S:.0f}); enforced only "
+                              "with --jobs > 1, at --jobs 1 a job runs "
+                              "to completion")
 
     store = argparse.ArgumentParser(add_help=False)
     store.add_argument("--store", metavar="PATH",
                        help="persistent JSONL result store; repeat "
                             "signatures answer from it as cache hits")
-    return trace, policy, pool, store
+    return trace, policy, jobs, timeout, store
 
 
 def _open_tracer(args: argparse.Namespace):
@@ -152,7 +157,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     try:
         evaluation = api.evaluate(args.bug_ids or None,
                                   pipeline=args.pipeline, jobs=args.jobs,
-                                  timeout_s=args.timeout,
                                   snapshots=not args.no_snapshot,
                                   policy=args.policy, tracer=tracer)
     finally:
@@ -338,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="AITIA (EuroSys 2023) reproduction: diagnose kernel "
                     "concurrency failures as causality chains.")
     sub = parser.add_subparsers(dest="command", required=True)
-    trace_parent, policy_parent, pool_parent, store_parent = \
-        _parent_parsers()
+    trace_parent, policy_parent, jobs_parent, timeout_parent, \
+        store_parent = _parent_parsers()
 
     sub.add_parser("list", help="list the corpus").set_defaults(
         func=_cmd_list)
@@ -370,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = sub.add_parser(
         "evaluate", help="run the paper's evaluation over the corpus",
-        parents=[trace_parent, policy_parent, pool_parent])
+        parents=[trace_parent, policy_parent, jobs_parent])
     evaluate.add_argument("bug_ids", nargs="*",
                           help="specific bugs (default: all 22)")
     evaluate.add_argument("--pipeline", action="store_true",
@@ -386,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     triage = sub.add_parser(
         "triage", help="run the crash-triage service: intake -> dedup "
                        "-> parallel diagnosis -> cached results",
-        parents=[trace_parent, policy_parent, pool_parent, store_parent])
+        parents=[trace_parent, policy_parent, jobs_parent, timeout_parent,
+                 store_parent])
     triage.add_argument("intake", nargs="?", metavar="DIR",
                         help="intake directory of *.crash artifacts")
     triage.add_argument("--corpus", action="store_true",
@@ -409,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the long-running triage intake daemon: "
                       "HTTP .crash submission, dedup, journaled queue, "
                       "two-tier result cache, /metrics",
-        parents=[trace_parent, policy_parent, pool_parent])
+        parents=[trace_parent, policy_parent, jobs_parent, timeout_parent])
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8080,

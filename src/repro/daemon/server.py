@@ -40,8 +40,8 @@ from typing import Dict, Optional, Set
 from repro.observe.export import render_exposition
 from repro.observe.tracer import Tracer
 from repro.service.artifacts import ArtifactParseError, CrashArtifact
-from repro.engine.executors import make_executor
 from repro.service.metrics import Histogram, ServiceMetrics
+from repro.service.pool import make_executor
 from repro.service.queue import JobOutcome, QueueFull, TriageJob
 from repro.service.signature import signature_of_text
 from repro.service.triage import EMPTY_INTAKE_MESSAGE
@@ -89,9 +89,9 @@ class TriageDaemon:
         if config.policy != "static":
             self.experience.load(self.store)
         self.diagnose = resolve_diagnoser(config.diagnoser)
-        #: The drain loop's job executor — fleet workers stay resident
-        #: across drain batches, so the daemon's steady state pays no
-        #: fork per diagnosis.
+        #: The drain loop's job executor.  At ``jobs > 1`` its workers
+        #: fork on the first drain and stay resident across batches,
+        #: so the steady state pays no fork per diagnosis.
         self.pool = make_executor(worker=self.diagnose, jobs=config.jobs,
                                   retry=config.retry)
         #: job_id -> job, every job this daemon has ever owned.

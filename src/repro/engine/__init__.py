@@ -8,20 +8,15 @@ interprets instructions".  LIFS and Causality Analysis emit
 machine, or a fresh boot per request when the caller's
 ``use_snapshots`` is off or a coverage-instrumented machine pins
 snapshots off.  A diagnosis always runs in one process; parallelism
-lives across diagnoses, on the resident worker fleet.  See
+lives across diagnoses, in the job pool of the triage service.  See
 docs/ARCHITECTURE.md.
 
-* :mod:`repro.engine.protocol`  — the request/plan/outcome vocabulary
+* :mod:`repro.engine.protocol` — the request/plan/outcome vocabulary
   and :class:`EngineStats`;
-* :mod:`repro.engine.executors` — the one process-dispatch front door
-  (:func:`make_executor`: :class:`JobExecutor` fans triage/evaluation
-  jobs out across processes);
-* :mod:`repro.engine.fleet`     — the fork-server worker substrate;
-* :mod:`repro.engine.engine`    — the engine itself.
+* :mod:`repro.engine.engine`   — the engine itself.
 """
 
 from repro.engine.engine import ScheduleExecutionEngine
-from repro.engine.executors import JobExecutor, make_executor
 from repro.engine.protocol import (
     CA_COUNTER_NAMES,
     LIFS_COUNTER_NAMES,
@@ -35,10 +30,8 @@ __all__ = [
     "CA_COUNTER_NAMES",
     "LIFS_COUNTER_NAMES",
     "EngineStats",
-    "JobExecutor",
     "RunOutcome",
     "RunPlan",
     "RunRequest",
     "ScheduleExecutionEngine",
-    "make_executor",
 ]

@@ -6,8 +6,8 @@ and suffix splicing on one vehicle machine (or a fresh boot per request
 when snapshots are off), coverage pinning, the unified snapshot
 accounting, and the single place that publishes the ``snapshot.*`` /
 ``ca.snapshot_*`` / ``engine.*`` counters.  A diagnosis always executes
-in this one process; parallelism lives across diagnoses
-(:func:`repro.engine.executors.make_executor`).
+in this one process; parallelism lives across diagnoses, in the job
+pool of the triage service.
 
 Algorithms (LIFS, Causality Analysis) stay pure: they emit
 :class:`RunRequest`/:class:`RunPlan` values and consume

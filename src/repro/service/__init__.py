@@ -3,8 +3,8 @@
 The paper's manager parallelizes reproducing/diagnosing across 32 VMs
 (section 4.5); this package is the layer above that turns the diagnosis
 algorithm into a *service*: report intake, signature-based dedup, a job
-queue with retry/timeout policy, a ``multiprocessing``-backed worker
-pool (the simulator is deterministic pure Python, so independent bugs
+queue with retry/timeout policy, a job pool of resident fork workers
+(the simulator is deterministic pure Python, so independent bugs
 genuinely parallelize across processes), and a content-addressed result
 store so a re-submitted crash returns its cached causality chain without
 re-running LIFS or Causality Analysis.
@@ -16,8 +16,8 @@ Modules:
   (crash-report text + ftrace history text in one file);
 * :mod:`repro.service.store` — persistent JSONL result cache;
 * :mod:`repro.service.queue` — job model, priorities, retry policy;
-* :mod:`repro.service.pool` — the in-process job placement (process
-  pools come from :func:`repro.engine.executors.make_executor`);
+* :mod:`repro.service.pool` — process dispatch: :func:`make_executor`
+  runs jobs in-process (``jobs <= 1``) or on resident fork workers;
 * :mod:`repro.service.metrics` — counters and per-stage timings;
 * :mod:`repro.service.triage` — the orchestrator and CLI backend.
 """

@@ -56,7 +56,9 @@ class TriageJob:
     job_id: str
     payload: dict
     priority: int = 0
-    timeout_s: float = 60.0
+    #: Per-job deadline in seconds; ``None`` runs the job unbounded.
+    #: Only the resident-worker pool (``jobs > 1``) enforces it.
+    timeout_s: Optional[float] = 60.0
     attempts: int = 0
     outcome: JobOutcome = JobOutcome.PENDING
     result: Optional[dict] = None

@@ -22,8 +22,8 @@ from repro.service.artifacts import (
     CrashArtifact,
     scan_directory,
 )
-from repro.engine.executors import make_executor
 from repro.service.metrics import ServiceMetrics
+from repro.service.pool import make_executor
 from repro.service.queue import JobOutcome, JobQueue, RetryPolicy, TriageJob
 from repro.service.signature import CrashSignature, signature_of
 from repro.service.store import ResultStore

@@ -104,14 +104,19 @@ class TestDeprecationShimsRemoved:
 class TestUnifiedCliFlags:
     def test_canonical_flags_parse_everywhere(self):
         parser = build_parser()
-        ev = parser.parse_args(["evaluate", "--jobs", "3", "--timeout",
-                                "42", "--trace", "t.jsonl"])
-        assert (ev.jobs, ev.timeout, ev.trace) == (3, 42.0, "t.jsonl")
+        ev = parser.parse_args(["evaluate", "--jobs", "3", "--trace",
+                                "t.jsonl"])
+        assert (ev.jobs, ev.trace) == (3, "t.jsonl")
         tr = parser.parse_args(["triage", "--corpus", "--jobs", "3",
                                 "--timeout", "42", "--store", "s.jsonl",
                                 "--trace", "t.jsonl"])
         assert (tr.jobs, tr.timeout, tr.store, tr.trace) == (
             3, 42.0, "s.jsonl", "t.jsonl")
+        sv = parser.parse_args(["serve", "--jobs", "3", "--timeout", "42"])
+        assert (sv.jobs, sv.timeout) == (3, 42.0)
+        # evaluate jobs run unbounded: it takes no --timeout.
+        with pytest.raises(SystemExit):
+            parser.parse_args(["evaluate", "--timeout", "42"])
         dg = parser.parse_args(["diagnose", "SYZ-05", "--trace",
                                 "t.jsonl"])
         assert dg.trace == "t.jsonl"
@@ -120,8 +125,10 @@ class TestUnifiedCliFlags:
         parser = build_parser()
         ev = parser.parse_args(["evaluate"])
         tr = parser.parse_args(["triage", "--corpus"])
-        assert ev.jobs == tr.jobs == 1
-        assert ev.timeout == tr.timeout == 300.0
+        sv = parser.parse_args(["serve"])
+        assert ev.jobs == tr.jobs == sv.jobs == 1
+        assert tr.timeout == sv.timeout == 300.0
+        assert not hasattr(ev, "timeout")
         assert ev.trace is None and tr.trace is None
 
     def test_legacy_aliases_removed(self, capsys):
@@ -144,8 +151,11 @@ class TestUnifiedCliFlags:
             with redirect_stdout(buf), pytest.raises(SystemExit):
                 parser.parse_args(argv)
             helps.append(buf.getvalue())
+        evaluate_help, triage_help = helps
+        assert "--timeout" not in evaluate_help
+        assert "--timeout" in triage_help
         for text in helps:
-            assert "--jobs" in text and "--timeout" in text
+            assert "--jobs" in text
             assert "--workers" not in text
             assert "--job-timeout" not in text
             assert "--result-store" not in text

@@ -222,21 +222,23 @@ class TestConfigsReachTheEngine:
 
 class TestAlgorithmPurity:
     """LIFS, CA and the triage orchestrator are pure consumers of the
-    dispatch layer: their sources must not reference pool/executor
+    layers below them: their sources must not reference pool/executor
     internals (only the ``make_executor`` front door and the engine's
-    own surface are fair game)."""
+    own surface are fair game), and the engine itself knows nothing of
+    processes or of the service that dispatches it."""
 
-    #: Dispatch internals no algorithm/orchestrator module may name.
-    FORBIDDEN = ("InProcessPool", "WorkerFleet", "JobExecutor",
-                 "ContinuationCache", "CheckpointPolicy",
-                 "repro.service.pool", "repro.engine.fleet")
+    #: Dispatch and engine internals no algorithm/orchestrator module
+    #: may name.
+    FORBIDDEN = ("InProcessPool", "JobExecutor", "_ResidentWorker",
+                 "_worker_main", "ContinuationCache", "CheckpointPolicy")
 
     @pytest.mark.parametrize("module", ["lifs.py", "causality.py"])
     def test_algorithms_reference_no_execution_machinery(self, module):
         import repro.core
         source = (pathlib.Path(repro.core.__file__).parent
                   / module).read_text()
-        for forbidden in self.FORBIDDEN + ("make_executor",):
+        for forbidden in self.FORBIDDEN + ("repro.service",
+                                           "make_executor"):
             assert forbidden not in source, (
                 f"{module} references {forbidden}; execution placement "
                 f"belongs to repro.engine")
@@ -248,5 +250,17 @@ class TestAlgorithmPurity:
         for forbidden in self.FORBIDDEN:
             assert forbidden not in source, (
                 f"triage.py references {forbidden}; dispatch goes "
-                f"through repro.engine.executors.make_executor")
-        assert "make_executor" in source
+                f"through repro.service.pool.make_executor")
+        assert "from repro.service.pool import make_executor\n" in source
+
+    def test_engine_knows_no_processes_or_service(self):
+        import repro.engine
+        sources = sorted(pathlib.Path(repro.engine.__file__).parent
+                         .glob("*.py"))
+        assert sources
+        for path in sources:
+            text = path.read_text()
+            for forbidden in ("repro.service", "multiprocessing"):
+                assert forbidden not in text, (
+                    f"engine/{path.name} references {forbidden}; process "
+                    f"dispatch lives in repro.service.pool")

@@ -1,8 +1,8 @@
 """Tests for the job model and the job executors (fault handling).
 
-Process dispatch lives in :mod:`repro.engine.executors`:
+Process dispatch lives in :mod:`repro.service.pool`:
 ``make_executor(worker=...)`` builds either the serial
-:class:`InProcessPool` or a fleet-backed :class:`JobExecutor`.
+:class:`InProcessPool` or a :class:`JobExecutor` of resident workers.
 """
 
 import os
@@ -11,9 +11,7 @@ import time
 
 import pytest
 
-from repro.engine.executors import JobExecutor, make_executor
-from repro.engine.fleet import WorkerFleet
-from repro.service.pool import InProcessPool
+from repro.service.pool import InProcessPool, JobExecutor, make_executor
 from repro.service.queue import (
     JobOutcome,
     JobQueue,
@@ -153,7 +151,7 @@ class TestMakeExecutorDispatch:
         executor = make_executor(worker=_ok_worker, jobs=4)
         try:
             assert isinstance(executor, JobExecutor)
-            assert executor.parallel
+            assert not isinstance(executor, InProcessPool)
         finally:
             executor.close()
 
@@ -188,11 +186,11 @@ class TestJobExecutor:
         executor = make_executor(worker=_ok_worker, jobs=2)
         try:
             _ = executor.run([_job({"value": 1})])
-            pids_first = {w.process.pid for w in executor.fleet.workers}
+            pids_first = {w.process.pid for w in executor.workers}
             _ = executor.run([_job({"value": 2}), _job({"value": 3})])
-            pids_second = {w.process.pid for w in executor.fleet.workers}
+            pids_second = {w.process.pid for w in executor.workers}
             assert pids_first == pids_second
-            assert executor.fleet.respawns == 0
+            assert executor.respawns == 0
         finally:
             executor.close()
 
@@ -247,8 +245,8 @@ class TestJobExecutor:
         assert "SystemExit: worker bailed" in job.error
 
 
-def _late_runner(payload, state):
-    """Fleet runner that posts its result late (past the deadline)."""
+def _late_worker(payload):
+    """Worker that posts its result late (past the deadline)."""
     time.sleep(payload["sleep_s"])
     return {"late": True}
 
@@ -260,24 +258,43 @@ class TestDeadlineDrain:
         # deadline passed, discarding a result already sitting in the
         # pipe.  Reproduce deterministically: the worker posts its
         # result *after* the deadline, and the parent only polls once
-        # both have happened — the fleet must drain the pipe before
+        # both have happened — the pool must drain the pipe before
         # declaring the timeout.
-        fleet = WorkerFleet(_late_runner, 1)
+        pool = JobExecutor(_late_worker, jobs=1)
         try:
-            fleet.start()
-            deadline = time.monotonic() + 10.0
-            while not fleet.ready_idle() and time.monotonic() < deadline:
-                fleet.poll(0.05)
-            worker = fleet.ready_idle()[0]
-            assert fleet.dispatch(worker, 7, {"sleep_s": 0.2},
-                                  timeout_s=0.05)
-            time.sleep(0.4)  # deadline long past, result in the pipe
-            events = fleet.poll(0.0)
-            assert [e.kind for e in events] == ["ok"]
-            assert events[0].task_id == 7
-            assert events[0].body == {"late": True}
+            pool.start()
+            worker = pool.idle()[0]
+            assert pool.dispatch(worker, 7, {"sleep_s": 0.2},
+                                 timeout_s=0.05)
+            # Wait (without reading) until the result sits in the pipe;
+            # the 0.05 s deadline is long past by then.
+            assert worker.conn.poll(10.0)
+            assert time.monotonic() > worker.deadline
+            assert pool.poll(0.0) == [("ok", 7, {"late": True})]
         finally:
-            fleet.close()
+            pool.close()
+
+    def test_result_landing_after_the_wait_is_drained_before_kill(
+            self, monkeypatch):
+        # The narrower race: the result lands after poll's readiness
+        # wait came back empty but before the deadline check.  Stub the
+        # wait to see nothing, so only the drain inside the deadline
+        # check can find the result.
+        import repro.service.pool as pool_module
+
+        pool = JobExecutor(_late_worker, jobs=1)
+        try:
+            pool.start()
+            worker = pool.idle()[0]
+            assert pool.dispatch(worker, 7, {"sleep_s": 0.2},
+                                 timeout_s=0.05)
+            assert worker.conn.poll(10.0)
+            monkeypatch.setattr(pool_module, "_connection_wait",
+                                lambda conns, timeout: [])
+            assert pool.poll(0.0) == [("ok", 7, {"late": True})]
+            assert pool.workers == [worker] and worker.alive
+        finally:
+            pool.close()
 
 
 def _dispatching_worker(payload):
