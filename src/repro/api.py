@@ -167,7 +167,8 @@ def triage(paths_or_corpus: TriageSource = "corpus", *,
     tests).
     """
     from repro.service.store import ResultStore
-    from repro.service.triage import DEFAULT_JOB_TIMEOUT_S, TriageService
+    from repro.service.queue import DEFAULT_JOB_TIMEOUT_S
+    from repro.service.triage import TriageService
 
     if service is None:
         if isinstance(store, (str, os.PathLike)):

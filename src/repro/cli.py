@@ -34,9 +34,7 @@ from repro import api
 from repro.analysis.report import render_report
 from repro.analysis.tables import Table
 from repro.corpus import registry
-
-#: One shared default for every subcommand that takes ``--timeout``.
-DEFAULT_TIMEOUT_S = 300.0
+from repro.service.queue import DEFAULT_JOB_TIMEOUT_S
 
 
 def _parent_parsers():
@@ -72,10 +70,10 @@ def _parent_parsers():
                            "processes (default 1: in-process)")
 
     timeout = argparse.ArgumentParser(add_help=False)
-    timeout.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S,
-                         metavar="S",
+    timeout.add_argument("--timeout", type=float,
+                         default=DEFAULT_JOB_TIMEOUT_S, metavar="S",
                          help="per-job timeout in seconds (default "
-                              f"{DEFAULT_TIMEOUT_S:.0f}); enforced only "
+                              f"{DEFAULT_JOB_TIMEOUT_S:.0f}); enforced only "
                               "with --jobs > 1, at --jobs 1 a job runs "
                               "to completion")
 

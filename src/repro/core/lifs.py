@@ -93,7 +93,9 @@ class LifsConfig:
     #: Prefix-checkpoint engine (docs/PERFORMANCE.md): run every schedule on
     #: one vehicle machine, resumed from the latest checkpoint before the
     #: point where the schedule diverges from its base run, instead of
-    #: rebooting and re-interpreting the shared prefix.  Results are
+    #: rebooting and re-interpreting the shared prefix.  The checkpoints
+    #: are the boot state plus the captures runs take immediately before
+    #: each preemption fires.  Results are
     #: bit-identical with the engine on or off (the ``--no-snapshot``
     #: ablation); only ``snapshot.*`` accounting differs.
     use_snapshots: bool = True
@@ -327,7 +329,7 @@ class LeastInterleavingFirstSearch:
 
     def _search(self) -> LifsResult:
         # Frontier entries carry the checkpoints valid for extending the
-        # run: the base's shared-prefix checkpoints plus the run's own.
+        # run: its base's pool up to the point where the run diverged.
         frontier: List[Tuple[RunResult, List[RunCheckpoint]]] = []
 
         # Interleaving count 0: serial executions in every thread order.
@@ -381,14 +383,13 @@ class LeastInterleavingFirstSearch:
                     return self._give_up(), []
                 if self.target.matches(run.failure):
                     return self._success(run), []
-                self._harvest(schedule, checkpoints, base_ckpts,
-                              horizons)
+                self._harvest(checkpoints, base_ckpts, horizons)
                 # Equivalent runs are recorded but not extended — the
                 # DPOR-style subtree skip of Figure 5.
                 keep = not duplicate or not self.config.equivalence_dedup
                 if not run.failed and keep:
                     next_frontier.append((run, self._child_checkpoints(
-                        schedule, run, base_ckpts, checkpoints)))
+                        schedule, run, base_ckpts)))
         return None, next_frontier
 
     def _extend_round_ranked(
@@ -424,8 +425,7 @@ class LeastInterleavingFirstSearch:
                     preemption = schedule.preemptions[-1]
                     access = access_by_seq.get(div_seq)
                     requests.append(RunRequest(
-                        schedule=schedule, capture_checkpoints=True,
-                        meta=CandidateMeta(
+                        schedule=schedule, meta=CandidateMeta(
                             index=len(requests), kind="lifs.extend",
                             base_index=base_index, div_seq=div_seq,
                             sort_key=(base_index, div_seq,
@@ -451,30 +451,26 @@ class LeastInterleavingFirstSearch:
                     return self._give_up(), []
                 if self.target.matches(run.failure):
                     return self._success(run), []
-                self._harvest(request.schedule, checkpoints, pool, horizons)
+                self._harvest(checkpoints, pool, horizons)
                 keep = not duplicate or not self.config.equivalence_dedup
                 if not run.failed and keep:
                     next_frontier.append((run, self._child_checkpoints(
-                        request.schedule, run, pool, checkpoints)))
+                        request.schedule, run, pool)))
 
-    def _harvest(self, schedule: Schedule,
-                 checkpoints: Sequence[RunCheckpoint],
+    @staticmethod
+    def _harvest(checkpoints: Sequence[RunCheckpoint],
                  base_ckpts: List[RunCheckpoint],
                  horizons: List[int]) -> None:
-        """Fold an extension run's pre-divergence checkpoints back into the
-        base's pool.  Until its new preemption fires, the extension *is* the
-        base run, so those captures densify the shared prefix — siblings
-        (generated in ascending divergence order) then resume from just
-        before their own divergence point instead of an early, coarse
-        checkpoint."""
-        if not self.engine.snapshots_active or not schedule.preemptions:
-            return
-        new_preemption = schedule.preemptions[-1]
+        """Fold an extension run's checkpoints back into the base's pool.
+        Every capture precedes a preemption fire, and the new preemption
+        fires last — the base's own preemptions all fired before its
+        divergence point — so each capture is a state of the base run,
+        the last one at exactly the extension's divergence point.
+        Siblings (generated in ascending divergence order) then resume
+        from just before their own divergence point.  A run captures
+        only while snapshots are active, so this is a no-op without
+        them."""
         for ckpt in checkpoints:
-            # fired grows monotonically along the checkpoint list; the
-            # first capture past the divergence ends the shared prefix.
-            if any(p == new_preemption for p, _ in ckpt.fired):
-                break
             i = bisect.bisect_left(horizons, ckpt.horizon_seq)
             if i < len(horizons) and horizons[i] == ckpt.horizon_seq:
                 continue
@@ -484,12 +480,11 @@ class LeastInterleavingFirstSearch:
     def _child_checkpoints(
         self, schedule: Schedule, run: RunResult,
         base_ckpts: List[RunCheckpoint],
-        own: List[RunCheckpoint],
     ) -> List[RunCheckpoint]:
-        """Checkpoints valid for extensions of ``run``: the base's prefix
-        checkpoints up to the point where ``run`` diverged (its new
-        preemption's fire seq) plus the checkpoints ``run`` captured
-        itself, deduplicated by horizon."""
+        """Checkpoints valid for extensions of ``run``: the base's pool up
+        to the point where ``run`` diverged (its new preemption's fire
+        seq).  ``run``'s own captures all precede that fire, so
+        :meth:`_harvest` has already put them in the pool."""
         if not self.engine.snapshots_active:
             return []
         new_preemption = schedule.preemptions[-1]
@@ -501,13 +496,8 @@ class LeastInterleavingFirstSearch:
         if fire_seq is None:
             # The new preemption never fired: the run never diverged from
             # its base, so every base checkpoint stays valid.
-            inherited = base_ckpts
-        else:
-            inherited = [c for c in base_ckpts if c.horizon_seq <= fire_seq]
-        merged: Dict[int, RunCheckpoint] = {}
-        for ckpt in itertools.chain(inherited, own):
-            merged.setdefault(ckpt.horizon_seq, ckpt)
-        return [merged[h] for h in sorted(merged)]
+            return list(base_ckpts)
+        return [c for c in base_ckpts if c.horizon_seq <= fire_seq]
 
     # ------------------------------------------------------------------
     def _execute(
@@ -520,8 +510,7 @@ class LeastInterleavingFirstSearch:
         if self.stats.schedules_executed >= self.config.max_schedules:
             return None, False, []
         outcome = self.engine.run(RunRequest(
-            schedule=schedule, resume_from=resume_from,
-            capture_checkpoints=True))
+            schedule=schedule, resume_from=resume_from))
         run = outcome.run
         self.stats.schedules_executed += 1
         self.stats.total_steps += run.steps

@@ -28,8 +28,7 @@ The layer sits *above* ``repro.service`` and reuses its vocabulary
 The daemon's state is two files under its data directory: the queue
 journal ``queue/queue.journal`` and the cold result file
 ``store/results.jsonl``.  See ``docs/SERVICE.md`` for the HTTP
-protocol, tenancy model, journal format, tier layout and how older
-sharded data directories migrate.
+protocol, tenancy model, journal format and tier layout.
 """
 
 from repro.daemon.client import DaemonClient

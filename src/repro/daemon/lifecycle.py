@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from repro.service.queue import RetryPolicy
+from repro.service.queue import DEFAULT_JOB_TIMEOUT_S, RetryPolicy
 from repro.daemon.queue import DEFAULT_MAX_DEPTH
 from repro.daemon.server import TriageDaemon
 from repro.daemon.tenants import TenantPolicy
@@ -49,7 +49,7 @@ class DaemonConfig:
     #: ``"adaptive"`` the daemon boots its experience index from the
     #: cold store and ships a snapshot in every job payload.
     policy: str = "static"
-    timeout_s: float = 300.0   #: per-job diagnosis timeout
+    timeout_s: float = DEFAULT_JOB_TIMEOUT_S  #: per-job diagnosis timeout
     max_depth: Optional[int] = DEFAULT_MAX_DEPTH
     batch_size: int = 4        #: jobs per drain batch
     poll_interval_s: float = 0.05

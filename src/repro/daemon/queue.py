@@ -21,12 +21,6 @@ cache rather than re-run.  Replay also compacts: the journal is
 rewritten holding only the still-pending pushes, so its size is
 bounded by queue depth, not by lifetime throughput.
 
-Data directories written before the journal was one file hold
-``queue-<NN>.journal`` files instead.  Opening the queue replays those
-first (deduplicated by ``job_id``), writes the jobs still owed to
-``queue.journal`` and then removes the old files; a crash in between
-is safe to re-run.
-
 Writes are flushed to the OS on every append — a killed *process*
 loses nothing (the page cache survives it); surviving a machine crash
 would need ``fsync`` per accept, which this deliberately does not pay.
@@ -40,13 +34,13 @@ submission with a 429.
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import threading
 from typing import Dict, List, Optional, TextIO
 
-from repro.service.queue import JobQueue, QueueFull, TriageJob
+from repro.service.queue import (DEFAULT_JOB_TIMEOUT_S, JobQueue, QueueFull,
+                                 TriageJob)
 
 #: Default bounded depth (the backpressure threshold).
 DEFAULT_MAX_DEPTH = 256
@@ -79,8 +73,13 @@ class JournaledWorkQueue:
         self._writer.flush()
 
     # -- recovery -------------------------------------------------------
-    def _replay(self, path: str, pushes: Dict[str, dict]) -> None:
-        with open(path) as fh:
+    def _replay(self) -> Dict[str, dict]:
+        """The journal's pushes still owed an answer, keyed by job id in
+        acceptance order."""
+        pushes: Dict[str, dict] = {}
+        if not os.path.exists(self.path):
+            return pushes
+        with open(self.path) as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
@@ -95,22 +94,16 @@ class JournaledWorkQueue:
                     pushes[entry["job_id"]] = entry
                 elif op == "done":
                     pushes.pop(entry.get("job_id"), None)
+        return pushes
 
     def _replay_and_compact(self) -> None:
-        old = sorted(glob.glob(os.path.join(self.directory,
-                                            "queue-*.journal")))
-        pushes: Dict[str, dict] = {}  # job_id -> push, acceptance order
-        for path in old + [self.path]:
-            if os.path.exists(path):
-                self._replay(path, pushes)
+        pushes = self._replay()
         # Compact: the journal now holds only what is still owed.
         tmp = self.path + ".tmp"
         with open(tmp, "w") as fh:
             for entry in pushes.values():
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
         os.replace(tmp, self.path)
-        for path in old:
-            os.remove(path)
         # Priority order first, acceptance order within it (a stable
         # sort) — the same order JobQueue would have served them in.
         pending = sorted(pushes.values(),
@@ -119,7 +112,8 @@ class JournaledWorkQueue:
             job = TriageJob(job_id=entry["job_id"],
                             payload=entry.get("payload", {}),
                             priority=entry.get("priority", 0),
-                            timeout_s=entry.get("timeout_s", 300.0))
+                            timeout_s=entry.get("timeout_s",
+                                                DEFAULT_JOB_TIMEOUT_S))
             # Recovered work is never shed: it was accepted before the
             # restart, so it bypasses the depth bound.
             saved, self._queue.max_depth = self._queue.max_depth, None

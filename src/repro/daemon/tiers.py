@@ -17,17 +17,10 @@ tier in front of it so the *hot path never touches disk*:
 surface the triage service uses, so it drops into any code that takes
 a result store.  Writes go through to the cold tier first (durability
 before visibility), then populate the hot tier.
-
-Data directories written before the cold tier was one file hold
-``shard-<NN>.jsonl`` files next to it.  Opening the store copies every
-record ``results.jsonl`` does not hold yet out of each old file, then
-removes that file; a crash in between is safe to re-run.
 """
 
 from __future__ import annotations
 
-import glob
-import os
 import threading
 from collections import OrderedDict
 from typing import Dict, Iterator, Optional, Tuple
@@ -89,21 +82,7 @@ class TieredStore:
                  hot_capacity: int = DEFAULT_HOT_CAPACITY) -> None:
         self.hot = HotTier(hot_capacity)
         self.cold = ResultStore(path)
-        self._absorb_old_shards()
         self.cold_hits = 0
-
-    def _absorb_old_shards(self) -> None:
-        """Fold ``shard-<NN>.jsonl`` files from the old layout into the
-        cold file.  A record already there is newer and is kept."""
-        directory = os.path.dirname(self.cold.path) or "."
-        for path in sorted(glob.glob(os.path.join(directory,
-                                                  "shard-*.jsonl"))):
-            old = ResultStore(path)
-            for digest, record in old.records():
-                if digest not in self.cold:
-                    self.cold.put(digest, record)
-            old.close()
-            os.remove(path)
 
     # ------------------------------------------------------------------
     def lookup(self, digest: str) -> Tuple[Optional[dict], str]:

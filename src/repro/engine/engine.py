@@ -12,7 +12,7 @@ pool of the triage service.
 Algorithms (LIFS, Causality Analysis) stay pure: they emit
 :class:`RunRequest`/:class:`RunPlan` values and consume
 :class:`RunOutcome`\\ s — no algorithm touches ``ContinuationCache``
-or ``CheckpointPolicy`` directly.
+or checkpoint capture directly.
 
 Invariants the engine maintains (and the equivalence tests assert):
 
@@ -32,8 +32,7 @@ from typing import TYPE_CHECKING, List, Mapping, Optional
 
 from repro.hypervisor.controller import (ContinuationCache,
                                          ScheduleController, SpliceSession)
-from repro.hypervisor.snapshot import (CheckpointPolicy, RunCheckpoint,
-                                       boot_checkpoint)
+from repro.hypervisor.snapshot import RunCheckpoint, boot_checkpoint
 from repro.observe.tracer import as_tracer
 
 from repro.engine.protocol import EngineStats, RunOutcome, RunPlan, RunRequest
@@ -90,17 +89,23 @@ class ScheduleExecutionEngine:
             self.snapshots_active = False
         return machine
 
-    def prime(self) -> "KernelMachine":
-        """Eagerly boot one machine and, when snapshots are on, adopt it
-        as the snapshot vehicle (the Causality Analysis pattern — CA
-        needs a booted image up front anyway).  Returns the machine; a
-        halted or coverage-instrumented boot demotes snapshots."""
-        machine = self._boot()
+    def _adopt(self, machine: "KernelMachine") -> None:
+        """Make a fresh boot the snapshot vehicle and checkpoint its boot
+        state, which replaces per-run reboots from here on; a halted boot
+        demotes snapshots instead."""
         if self.snapshots_active and not machine.halted:
             self.vehicle = machine
             self.boot_checkpoint = boot_checkpoint(machine)
         else:
             self.snapshots_active = False
+
+    def prime(self) -> "KernelMachine":
+        """Eagerly boot one machine and adopt it as the snapshot vehicle
+        (the Causality Analysis pattern — CA needs a booted image up
+        front anyway).  Returns the machine; a halted or
+        coverage-instrumented boot demotes snapshots."""
+        machine = self._boot()
+        self._adopt(machine)
         return machine
 
     # -- execution ------------------------------------------------------
@@ -108,7 +113,8 @@ class ScheduleExecutionEngine:
         """Execute one request: resume the vehicle from the request's
         prefix checkpoint or the boot checkpoint when snapshots are on,
         else boot fresh (and, with snapshots on, adopt that boot as the
-        vehicle)."""
+        vehicle).  Runs capture checkpoints only while snapshots are on:
+        one immediately before each preemption fires."""
         active = self.snapshots_active
         resume: Optional[RunCheckpoint] = None
         if active:
@@ -121,29 +127,18 @@ class ScheduleExecutionEngine:
             # before the run, so it neither splices nor becomes the
             # vehicle.
             machine = self._boot()
-            if self.snapshots_active:
-                self.vehicle = machine
+            self._adopt(machine)
         session: Optional[SpliceSession] = None
-        checkpoint_policy: Optional[CheckpointPolicy] = None
         if self.snapshots_active:
             session = self.continuations.session()
-            if request.capture_checkpoints:
-                checkpoint_policy = CheckpointPolicy()
         controller = ScheduleController(
             machine, request.schedule, watch_races=request.watch_races,
             tracer=self.tracer, resume_from=resume,
-            checkpoint_policy=checkpoint_policy,
+            capture_checkpoints=self.snapshots_active,
             splice_probe=session.probe if session else None)
         run = controller.run()
         if session is not None:
             session.donate(run)
-        if self.snapshots_active and self.boot_checkpoint is None:
-            # Harvest the run-entry capture as the boot checkpoint that
-            # replaces per-schedule reboots from here on.
-            for ckpt in controller.checkpoints:
-                if ckpt.steps == 0 and not ckpt.fired:
-                    self.boot_checkpoint = ckpt
-                    break
         outcome = RunOutcome(
             run=run, checkpoints=tuple(controller.checkpoints),
             resumed=resume is not None,

@@ -6,7 +6,7 @@ give me the run result" (paper section 3).  The protocol types here are
 that primitive's vocabulary:
 
 * :class:`RunRequest`  — one schedule to execute, plus how (resume hint,
-  race watching, checkpoint capture);
+  race watching);
 * :class:`RunPlan`     — a batch of independent requests (a LIFS frontier
   round, a CA flip phase) shaped by the search policy as one phase;
 * :class:`RunOutcome`  — the run plus the placement facts accounting
@@ -28,7 +28,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only, no import cycle
 
 @dataclass(frozen=True)
 class RunRequest:
-    """One schedule the algorithm wants executed."""
+    """One schedule the algorithm wants executed.
+
+    With snapshots on, the run captures a checkpoint immediately before
+    each preemption fires (:attr:`RunOutcome.checkpoints`); a schedule
+    of order constraints alone captures none.
+    """
 
     schedule: Schedule
     #: Explicit resume point (a prefix checkpoint).  ``None`` lets the
@@ -36,9 +41,6 @@ class RunRequest:
     #: boot fresh otherwise.
     resume_from: Optional[RunCheckpoint] = None
     watch_races: bool = True
-    #: Capture prefix checkpoints during the run (LIFS harvests them for
-    #: extension resume; flip runs never need them).
-    capture_checkpoints: bool = False
     #: Free-form origin label, for diagnostics.
     label: str = ""
     #: Policy-facing candidate identity (a
@@ -64,7 +66,8 @@ class RunOutcome:
     """One request's result plus the placement facts accounting needs."""
 
     run: RunResult
-    #: Checkpoints the run captured (for LIFS harvest/extension resume).
+    #: Pre-fire checkpoints the run captured (for LIFS harvest/extension
+    #: resume).
     checkpoints: Tuple[RunCheckpoint, ...] = ()
     #: Whether the run resumed from a checkpoint and the prefix steps
     #: that resume skipped.

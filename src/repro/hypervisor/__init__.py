@@ -20,7 +20,6 @@ from repro.hypervisor.breakpoints import BreakpointManager, WatchpointManager
 from repro.hypervisor.controller import RunResult, ScheduleController
 from repro.hypervisor.replay import Recording, record, replay
 from repro.hypervisor.snapshot import (
-    CheckpointPolicy,
     MachineSnapshot,
     RunCheckpoint,
     boot_checkpoint,
@@ -31,7 +30,6 @@ from repro.hypervisor.trampoline import Trampoline
 
 __all__ = [
     "BreakpointManager",
-    "CheckpointPolicy",
     "MachineSnapshot",
     "RunCheckpoint",
     "boot_checkpoint",

@@ -39,7 +39,6 @@ from repro.hypervisor.breakpoints import (
     WatchpointManager,
 )
 from repro.hypervisor.snapshot import (
-    CheckpointPolicy,
     RunCheckpoint,
     restore_machine,
     snapshot_machine,
@@ -233,17 +232,17 @@ class ScheduleController:
     whole-run semantics (prefix + suffix); callers account saved work via
     :attr:`resumed_from_steps`.
 
-    With ``checkpoint_policy`` set, the run captures prefix checkpoints
-    (at entry, at each preemption fire, and periodically) into
-    :attr:`checkpoints` for later runs to resume from.  Constraint
-    schedules are never checkpointed: the constraint-queue cursor is not
-    part of a checkpoint.
+    With ``capture_checkpoints`` set, the run captures a checkpoint into
+    :attr:`checkpoints` immediately before each preemption fires — the
+    only point where a schedule derived from this one can diverge from
+    it.  Constraint schedules are never checkpointed: the
+    constraint-queue cursor is not part of a checkpoint.
     """
 
     def __init__(self, machine: KernelMachine, schedule: Schedule,
                  watch_races: bool = True, tracer=None,
                  resume_from: Optional[RunCheckpoint] = None,
-                 checkpoint_policy: Optional[CheckpointPolicy] = None,
+                 capture_checkpoints: bool = False,
                  splice_probe=None) -> None:
         self.machine = machine
         self.schedule = schedule
@@ -260,8 +259,7 @@ class ScheduleController:
         self._infeasible: List[OrderConstraint] = []
         self._active: Optional[str] = None
         self._steps = 0
-        self._policy = checkpoint_policy if not schedule.constraints else None
-        self._steps_since_capture = 0
+        self._capture = capture_checkpoints and not schedule.constraints
         self.checkpoints: List[RunCheckpoint] = []
         self._resumed_from = resume_from
         #: callable(machine, controller) -> Optional[SpliceTail]; consulted
@@ -312,24 +310,6 @@ class ScheduleController:
                     "contain — it is not a prefix of this run") from None
         self._active = ckpt.active
         self._steps = ckpt.steps
-
-    def _maybe_capture(self) -> None:
-        policy = self._policy
-        if policy is None or len(self.checkpoints) >= policy.max_checkpoints:
-            return
-        if self.machine.halted or self.machine.all_done():
-            return
-        self._steps_since_capture = 0
-        self.checkpoints.append(RunCheckpoint(
-            machine=snapshot_machine(self.machine),
-            horizon_seq=self.machine._seq,
-            steps=self._steps,
-            fired=tuple(self._fired),
-            trampoline=self.trampoline.snapshot(),
-            watchpoints=self.watchpoints.snapshot(),
-            active=self._active,
-            start_order=tuple(self.schedule.start_order),
-        ))
 
     # ------------------------------------------------------------------
     # Thread choice
@@ -436,10 +416,6 @@ class ScheduleController:
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         machine = self.machine
-        if self._policy is not None and self._resumed_from is None:
-            # Entry checkpoint: for the very first run this is the boot
-            # state, reusable under any schedule.
-            self._maybe_capture()
         while not machine.halted and not machine.all_done():
             name = self._choose()
             if name is None:
@@ -483,10 +459,6 @@ class ScheduleController:
                 self._active = None
             if outcome.thread_done and self._active == name:
                 self._active = None
-            self._steps_since_capture += 1
-            if self._policy is not None and \
-                    self._steps_since_capture >= self._policy.interval:
-                self._maybe_capture()
             if self._splice_probe is not None and not machine.halted \
                     and not self._pending_preemptions \
                     and self._head >= len(self._constraints) \
@@ -548,7 +520,17 @@ class ScheduleController:
         # is still pending), so a search can reuse it as a checkpoint of
         # the base schedule at exactly the divergence point — siblings that
         # diverge later resume from here instead of an earlier capture.
-        self._maybe_capture()
+        if self._capture:
+            self.checkpoints.append(RunCheckpoint(
+                machine=snapshot_machine(self.machine),
+                horizon_seq=self.machine._seq,
+                steps=self._steps,
+                fired=tuple(self._fired),
+                trampoline=self.trampoline.snapshot(),
+                watchpoints=self.watchpoints.snapshot(),
+                active=self._active,
+                start_order=tuple(self.schedule.start_order),
+            ))
         self._pending_preemptions.remove(preemption)
         self._fired.append((preemption, self.machine.trace[-1].seq
                             if self.machine.trace else 0))
@@ -567,9 +549,6 @@ class ScheduleController:
             self._active = target if self._runnable(target) else None
         else:
             self._active = None
-        # A fire point is the horizon past which extensions of this run
-        # diverge — always worth a checkpoint.
-        self._maybe_capture()
 
     # ------------------------------------------------------------------
     def _measured_interleavings(self) -> int:

@@ -14,6 +14,9 @@ of LIFS schedules affordable.  Two layers live here:
   preemptions, trampoline, watchpoints, active thread, step count).  A
   controller constructed with ``resume_from=checkpoint`` re-enters the run
   at that point and interprets only the suffix; see docs/PERFORMANCE.md.
+  A run captures one only immediately before a preemption fires — the
+  only point where a derived schedule can diverge from it — and every
+  run can resume from :func:`boot_checkpoint`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from repro.kernel.snapshot import (
 )
 
 __all__ = [
-    "CheckpointPolicy",
     "MachineSnapshot",
     "RunCheckpoint",
     "boot_checkpoint",
@@ -53,16 +55,6 @@ def restore(machine: KernelMachine, snapshot: MachineSnapshot) -> None:
     happened).
     """
     restore_machine(machine, snapshot)
-
-
-@dataclass(frozen=True)
-class CheckpointPolicy:
-    """When a controller captures prefix checkpoints during a run: one at
-    run entry, one each time a preemption fires, and one every ``interval``
-    executed instructions, up to ``max_checkpoints`` total."""
-
-    interval: int = 8
-    max_checkpoints: int = 64
 
 
 @dataclass(frozen=True)

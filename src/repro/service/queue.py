@@ -15,6 +15,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+#: The per-job deadline every job gets unless its submitter sets one:
+#: the triage service, the daemon, the CLI's ``--timeout`` and journal
+#: replay all read it.
+DEFAULT_JOB_TIMEOUT_S = 300.0
+
 
 class JobOutcome(enum.Enum):
     """Terminal (and transient) states of a triage job."""
@@ -58,7 +63,7 @@ class TriageJob:
     priority: int = 0
     #: Per-job deadline in seconds; ``None`` runs the job unbounded.
     #: Only the resident-worker pool (``jobs > 1``) enforces it.
-    timeout_s: Optional[float] = 60.0
+    timeout_s: Optional[float] = DEFAULT_JOB_TIMEOUT_S
     attempts: int = 0
     outcome: JobOutcome = JobOutcome.PENDING
     result: Optional[dict] = None

@@ -24,12 +24,10 @@ from repro.service.artifacts import (
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.pool import make_executor
-from repro.service.queue import JobOutcome, JobQueue, RetryPolicy, TriageJob
+from repro.service.queue import (DEFAULT_JOB_TIMEOUT_S, JobOutcome, JobQueue,
+                                 RetryPolicy, TriageJob)
 from repro.service.signature import CrashSignature, signature_of
 from repro.service.store import ResultStore
-
-DEFAULT_JOB_TIMEOUT_S = 300.0
-
 
 #: The one empty-intake behaviour: zero crash reports is "nothing to
 #: do", not an error.  The batch verb prints this and exits 0; the

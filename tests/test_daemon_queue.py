@@ -178,38 +178,26 @@ def _push(job):
             "payload": job.payload}
 
 
-class TestOldShardLayout:
-    """Directories written when the journal was sharded into
-    ``queue-<NN>.journal`` files migrate into ``queue.journal``."""
+class TestTimeoutDefault:
+    """Every path that builds a job without an explicit deadline gives it
+    the same one: the job model, the daemon, the CLI and journal
+    replay."""
 
-    def test_old_shards_replay_and_are_removed(self, tmp_path):
-        done = {"op": "done", "job_id": _job(2).job_id,
-                "outcome": "succeeded"}
-        _write_journal(tmp_path / "queue-00.journal",
-                       [_push(_job(1)), _push(_job(2)), done])
-        _write_journal(tmp_path / "queue-03.journal", [_push(_job(3))])
+    def test_every_default_agrees(self, tmp_path):
+        from repro.cli import build_parser
+        from repro.daemon.lifecycle import DaemonConfig
+        from repro.service.queue import DEFAULT_JOB_TIMEOUT_S
 
-        queue = JournaledWorkQueue(str(tmp_path))
-        assert [j.job_id for j in queue.recovered] == [
-            _job(1).job_id, _job(3).job_id]
-        queue.close()
-        assert os.listdir(tmp_path) == ["queue.journal"]
-        assert len(_journal_entries(tmp_path)) == 2
-        assert len(JournaledWorkQueue(str(tmp_path)).recovered) == 2
-
-    def test_interrupted_migration_recovers_each_job_once(self, tmp_path):
-        # A crash after queue.journal was written but before the old
-        # file was removed: the job is in both, and in queue.journal
-        # it was since marked done.
-        job = _job(4)
-        _write_journal(tmp_path / "queue-01.journal", [_push(job)])
-        _write_journal(tmp_path / "queue.journal", [_push(job)])
-        assert [j.job_id for j in
-                JournaledWorkQueue(str(tmp_path)).recovered] == [job.job_id]
-
-        _write_journal(tmp_path / "queue-01.journal", [_push(job)])
-        _write_journal(tmp_path / "queue.journal", [
-            _push(job),
-            {"op": "done", "job_id": job.job_id, "outcome": "succeeded"}])
-        assert JournaledWorkQueue(str(tmp_path)).recovered == []
-        assert os.listdir(tmp_path) == ["queue.journal"]
+        entry = _push(_job(1))
+        del entry["timeout_s"]
+        _write_journal(tmp_path / "queue.journal", [entry])
+        replayed = JournaledWorkQueue(str(tmp_path))
+        parser = build_parser()
+        assert {
+            TriageJob(job_id="j", payload={}).timeout_s,
+            DaemonConfig().timeout_s,
+            parser.parse_args(["triage", "--corpus"]).timeout,
+            parser.parse_args(["serve"]).timeout,
+            replayed.recovered[0].timeout_s,
+        } == {DEFAULT_JOB_TIMEOUT_S}
+        replayed.close()

@@ -202,7 +202,7 @@ def test_journal_with_removed_engine_keys_replays_once(launch, tmp_path):
     entry = {"op": "push", "job_id": job_id, "digest": digest,
              "priority": 0, "timeout_s": 300.0, "tenant": "default",
              "payload": legacy}
-    (queue_dir / "queue-00.journal").write_text(
+    (queue_dir / "queue.journal").write_text(
         json.dumps(entry, sort_keys=True) + "\n")
 
     daemon = launch(diagnoser=None)

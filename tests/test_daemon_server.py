@@ -24,7 +24,6 @@ from repro.daemon import (
 from repro.observe.export import parse_exposition
 from repro.service.artifacts import CrashArtifact
 from repro.service.queue import JobOutcome
-from repro.service.signature import signature_of_text
 from repro.service.store import ResultStore
 from repro.service.triage import EMPTY_INTAKE_MESSAGE
 from repro.trace.syzkaller import run_bug_finder
@@ -389,59 +388,6 @@ class TestRecoveryInProcess:
                     diagnoser=counting_diagnoser)
         # SYZ-01 answered from the store; only SYZ-02 was diagnosed.
         assert calls == ["SYZ-02"]
-
-
-    def test_old_sharded_data_dir_migrates(self, tmp_path):
-        # A data directory written when the journal and the result
-        # store were sharded by digest prefix.
-        data_dir = tmp_path / "data"
-        (data_dir / "queue").mkdir(parents=True)
-        (data_dir / "store").mkdir()
-
-        def digest_of(bug):
-            return signature_of_text(
-                CrashArtifact.parse(artifact_text(bug)).crash_text).digest
-
-        owed, stored = digest_of("SYZ-02"), digest_of("SYZ-01")
-        payload = {"mode": "artifact", "artifact": artifact_text("SYZ-02"),
-                   "bug_id": "SYZ-02", "digest": owed,
-                   "tenant": "default", "policy": "adaptive"}
-        push = {"op": "push", "job_id": f"SYZ-02:{owed}", "digest": owed,
-                "priority": 0, "timeout_s": 300.0, "tenant": "default",
-                "payload": payload}
-        (data_dir / "queue" / "queue-03.journal").write_text(
-            json.dumps(push, sort_keys=True) + "\n")
-        old = ResultStore(str(data_dir / "store" / "shard-05.jsonl"))
-        old.put(stored, {"bug_id": "SYZ-01", "row": {"reproduced": True}})
-        old.put("exp:" + stored, {"kind": "experience",
-                                  "features": {"lifs.depth:1": 3}})
-        old.close()
-
-        async def migrated(daemon, client):
-            assert len(daemon.queue.recovered) == 1
-            assert daemon.experience.snapshot()["weights"] == {
-                "lifs.depth:1": 3}
-            await wait_until(lambda: daemon.metrics.count("completed") == 1)
-            hit = await client.submit(artifact_text("SYZ-01"))
-            assert hit.status == 200
-            assert hit.json()["tier"] == "cold"
-            result = await client.request("GET", f"/result/{owed}")
-            assert result.status == 200
-            assert sorted(os.listdir(data_dir / "queue")) == [
-                "queue.journal"]
-            assert sorted(os.listdir(data_dir / "store")) == [
-                "results.jsonl"]
-
-        daemon_test(tmp_path, migrated, data_dir=str(data_dir),
-                    policy="adaptive")
-
-        async def reopened(daemon, client):
-            assert daemon.queue.recovered == []
-            assert daemon.experience.snapshot()["weights"] == {
-                "lifs.depth:1": 3}
-
-        daemon_test(tmp_path, reopened, data_dir=str(data_dir),
-                    policy="adaptive")
 
 
 class TestShutdown:

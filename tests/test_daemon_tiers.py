@@ -5,7 +5,6 @@ import os
 import pytest
 
 from repro.daemon.tiers import HotTier, TieredStore
-from repro.service.store import ResultStore
 
 
 def _digest(n: int) -> str:
@@ -94,34 +93,3 @@ class TestTieredStore:
         assert len(reopened) == 16
         assert reopened.get(_digest(3)) == {"n": 3}
 
-
-class TestOldShardLayout:
-    """Directories written when the cold tier was sharded into
-    ``shard-<NN>.jsonl`` files are folded into ``results.jsonl``."""
-
-    def _old_shard(self, tmp_path, shard, records):
-        old = ResultStore(str(tmp_path / f"shard-{shard:02d}.jsonl"))
-        for digest, record in records.items():
-            old.put(digest, record)
-        old.close()
-
-    def test_old_shards_are_absorbed_and_removed(self, tmp_path):
-        self._old_shard(tmp_path, 0, {_digest(0): {"n": 0}})
-        self._old_shard(tmp_path, 5, {_digest(5): {"n": 5},
-                                      "exp:" + _digest(5): {"w": 1}})
-        store = TieredStore(_path(tmp_path))
-        assert os.listdir(tmp_path) == ["results.jsonl"]
-        assert len(store) == 3
-        assert store.lookup(_digest(5)) == ({"n": 5}, "cold")
-        assert dict(store.records())["exp:" + _digest(5)] == {"w": 1}
-
-    def test_record_already_in_results_wins(self, tmp_path):
-        # An interrupted migration left the old file behind after the
-        # record was copied; a newer put then superseded the copy.
-        self._old_shard(tmp_path, 1, {_digest(1): {"v": "old"},
-                                      _digest(2): {"v": 2}})
-        ResultStore(_path(tmp_path)).put(_digest(1), {"v": "new"})
-        store = TieredStore(_path(tmp_path))
-        assert store.get(_digest(1)) == {"v": "new"}
-        assert store.get(_digest(2)) == {"v": 2}
-        assert not os.path.exists(tmp_path / "shard-01.jsonl")

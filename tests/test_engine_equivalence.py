@@ -66,8 +66,7 @@ class TestBackendEquivalence:
             engine = ScheduleExecutionEngine(fig2_machine,
                                              use_snapshots=snapshots)
             outcomes = engine.run_plan(RunPlan(
-                [RunRequest(schedule=s, capture_checkpoints=True)
-                 for s in schedules], phase="equivalence"))
+                [RunRequest(schedule=s) for s in schedules], phase="equivalence"))
             results[name] = [_run_facts(o) for o in outcomes]
         baseline = results.pop("inline")
         for name, facts in results.items():
@@ -150,7 +149,7 @@ class TestCoveragePinning:
         return _blocks(kcovs[0])
 
     def _run_all(self, engine):
-        return [engine.run(RunRequest(schedule=s, capture_checkpoints=True))
+        return [engine.run(RunRequest(schedule=s))
                 for s in self.SCHEDULES]
 
     def _assert_fresh_and_covered(self, outcomes, kcovs):

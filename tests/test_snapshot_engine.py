@@ -1,8 +1,10 @@
 """Tests for the prefix-checkpoint execution engine.
 
 Covers the three layers end to end: controller-level checkpoint/resume
-(property: resuming from any captured checkpoint is bit-identical to a
-fresh boot), the LIFS accounting identities (``snapshot.hits +
+(property: resuming from the checkpoint at any trace step is
+bit-identical to a fresh boot), the capture rule (one checkpoint
+immediately before each fired preemption, none on constraint
+schedules), the LIFS accounting identities (``snapshot.hits +
 snapshot.misses == lifs.schedules``), the ``use_snapshots`` ablation
 (identical diagnoses, fewer interpreted steps), continuation splicing,
 and thread-recreating restores.
@@ -11,7 +13,7 @@ and thread-recreating restores.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.causality import CaConfig
+from repro.core.causality import CaConfig, CausalityAnalysis
 from repro.core.diagnose import Aitia
 from repro.core.lifs import (
     FailureMatcher,
@@ -20,13 +22,9 @@ from repro.core.lifs import (
 )
 from repro.core.schedule import Preemption, Schedule
 from repro.corpus.registry import get_bug
+from repro.engine import RunRequest, ScheduleExecutionEngine
 from repro.hypervisor.controller import ScheduleController
-from repro.hypervisor.snapshot import (
-    CheckpointPolicy,
-    boot_checkpoint,
-    capture,
-    restore,
-)
+from repro.hypervisor.snapshot import boot_checkpoint, capture, restore
 from repro.kernel.snapshot import machine_state_key, snapshot_state_key
 from repro.observe import MemorySink, Tracer
 
@@ -72,23 +70,38 @@ def _run_facts(run):
     )
 
 
-class TestResumeBitIdentity:
-    """Property: a controller resumed from any prefix checkpoint produces
-    the same trace, access log, failure, and step count as a fresh boot
-    enforcing the same schedule."""
+def _checkpoint_before(schedule, entry):
+    """The checkpoint of ``schedule``'s run just before ``entry``
+    executes, obtained as LIFS harvests one: append a probe preemption at
+    that trace entry and keep its pre-fire capture."""
+    probe = Preemption(thread=entry.thread, instr_addr=entry.instr_addr,
+                       occurrence=entry.occurrence, switch_to=None,
+                       instr_label=entry.instr_label)
+    probed = Schedule(start_order=schedule.start_order,
+                      preemptions=list(schedule.preemptions) + [probe])
+    controller = ScheduleController(fig2_machine(), probed,
+                                    capture_checkpoints=True)
+    run = controller.run()
+    fired = [p is probe for p in run.fired_preemptions]
+    return controller.checkpoints[fired.index(True)]
 
-    @given(preemption_lists, st.booleans(),
-           st.integers(min_value=0, max_value=63))
+
+class TestResumeBitIdentity:
+    """Property: a controller resumed from the checkpoint at any trace
+    step produces the same trace, access log, failure, and step count as
+    a fresh boot enforcing the same schedule."""
+
+    @given(preemption_lists, st.booleans(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_resume_from_any_checkpoint_matches_fresh_boot(
-            self, preempts, start_first, pick):
+            self, preempts, start_first, data):
         schedule = _schedule(preempts, start_first)
-        fresh = ScheduleController(fig2_machine(), schedule,
-                                   checkpoint_policy=CheckpointPolicy())
-        run1 = fresh.run()
-        if not fresh.checkpoints:
-            return
-        ckpt = fresh.checkpoints[pick % len(fresh.checkpoints)]
+        run1 = ScheduleController(fig2_machine(), schedule).run()
+        index = data.draw(st.integers(0, len(run1.trace) - 1),
+                          label="trace index")
+        ckpt = _checkpoint_before(schedule, run1.trace[index])
+        assert ckpt.horizon_seq == (run1.trace[index - 1].seq
+                                    if index else 0)
         run2 = ScheduleController(fig2_machine(), schedule,
                                   resume_from=ckpt).run()
         assert _run_facts(run2) == _run_facts(run1)
@@ -105,6 +118,42 @@ class TestResumeBitIdentity:
         run2 = ScheduleController(machine, schedule,
                                   resume_from=ckpt).run()
         assert _run_facts(run2) == _run_facts(run1)
+
+
+class TestCaptureRule:
+    """A run captures a checkpoint only immediately before a preemption
+    fires: the one point where a derived schedule can diverge from it."""
+
+    @given(preemption_lists, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_one_capture_per_fired_preemption_at_its_fire_seq(
+            self, preempts, start_first):
+        schedule = _schedule(preempts, start_first)
+        controller = ScheduleController(fig2_machine(), schedule,
+                                        capture_checkpoints=True)
+        run = controller.run()
+        assert [c.horizon_seq for c in controller.checkpoints] \
+            == list(run.fired_seqs)
+        # Through the engine: the first request boots fresh, the second
+        # resumes from the boot checkpoint; neither resumes mid-run.
+        engine = ScheduleExecutionEngine(fig2_machine, use_snapshots=True)
+        for _ in range(2):
+            outcome = engine.run(RunRequest(schedule=schedule))
+            assert [c.horizon_seq for c in outcome.checkpoints] \
+                == list(outcome.run.fired_seqs)
+            assert [c.steps for c in outcome.checkpoints] \
+                == [c.steps for c in controller.checkpoints]
+
+    def test_ca_flip_runs_capture_none(self):
+        lifs_result = LeastInterleavingFirstSearch(
+            fig2_factory(), ["A", "B"], FailureMatcher.any_failure()).search()
+        assert lifs_result.reproduced
+        ca = CausalityAnalysis(fig2_factory(), lifs_result,
+                               config=CaConfig(use_snapshots=True))
+        ca.analyze()
+        assert ca.engine.snapshots_active
+        assert ca.engine.stats.requests > 0
+        assert ca.engine.stats.checkpoints_captured == 0
 
 
 class TestSnapshotAccounting:
